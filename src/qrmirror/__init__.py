@@ -4,16 +4,7 @@ diagnostics, coupled-amplitude reflection solves, complex scattering
 lengths and gravitational-quantum-state lifetimes.
 """
 
-from .constants import (
-    CONSTANTS,
-    PhysicalConstants,
-    Quantity,
-    Unit,
-    UnitError,
-    convert,
-    energy_from_height,
-    wavevector_au,
-)
+from .constants import CONSTANTS, PhysicalConstants
 from .optics import (
     DEFAULT_POLARIZABILITY,
     DielectricModel,
@@ -54,7 +45,6 @@ from .reflection import (
     SweepPoint,
     badlands_profile,
     badlands_q,
-    local_momentum,
     reflection_sweep,
     solve_reflection,
 )

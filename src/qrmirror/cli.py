@@ -9,6 +9,7 @@ output files once the timestamp header is suppressed (--no-timestamp).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .optics import (
     builtin_material_names,
     builtin_material_path,
     graphene_sheet,
+    load_builtin,
     load_material_file,
     material_file_kind,
 )
@@ -33,6 +35,7 @@ from .potential import (
     SOLVER_Z_HI,
     SOLVER_Z_LO,
     build_potential_table,
+    build_solver_table,
 )
 from .reflection import SolveError, badlands_profile, reflection_sweep, solve_reflection
 
@@ -120,13 +123,10 @@ def _resolve_mirror(args) -> MirrorSpec:
     model = load_material_file(path)
     if model.is_vacuum:
         raise UsageError(f"material {name!r} has no oscillators: not a mirror")
+    # MirrorSpec validates the thickness and the porosity (ValueError: exit 2)
     if slab_nm is not None:
-        if slab_nm <= 0:
-            raise UsageError("--slab-nm must be positive")
         return MirrorSpec.slab_nm(model, slab_nm)
     if porosity is not None:
-        if not 0.0 <= porosity <= 1.0:
-            raise UsageError("--porosity must be in [0, 1]")
         return MirrorSpec.porous(model, porosity)
     return MirrorSpec.bulk(model)
 
@@ -136,8 +136,8 @@ def _heights_m(args) -> list[float]:
     if not heights_cm:
         raise UsageError("no heights given (use --height-cm)")
     heights = [h * 1e-2 for h in heights_cm]
-    if any(h <= 0 for h in heights):
-        raise UsageError("heights must be positive")
+    if not all(0 < h < math.inf for h in heights):
+        raise UsageError(f"heights must be positive and finite, got {heights_cm}")
     return heights
 
 
@@ -158,15 +158,28 @@ def _mirror_slug(mirror: MirrorSpec) -> str:
             .replace(".", "p"))
 
 
-def _solver_grid(args) -> tuple[float, float, int]:
-    z_lo = _effective(args, "z_min_a0", SOLVER_Z_LO)
-    z_hi = _effective(args, "z_max_a0", SOLVER_Z_HI)
-    n = _effective(args, "points", SOLVER_POINTS)
-    if not 0 < z_lo < z_hi:
-        raise UsageError("need 0 < z-min < z-max")
+def _grid(args, z_lo: float, z_hi: float, n: int) -> tuple[float, float, int]:
+    """(z-min, z-max, points) from the flags/config, else the defaults."""
+    z_lo = _effective(args, "z_min_a0", z_lo)
+    z_hi = _effective(args, "z_max_a0", z_hi)
+    n = _effective(args, "points", n)
+    if not 0 < z_lo < z_hi < math.inf:
+        raise UsageError("need 0 < z-min < z-max < inf")
     if n < 16:
         raise UsageError("need at least 16 grid points")
     return z_lo, z_hi, n
+
+
+def _emit(args, stem: str, write_csv, make_json, *data, **options) -> None:
+    """Write ``data`` as CSV or JSON (per --format) and report the path."""
+    fmt = _fmt_kind(args)
+    out = _out_path(args, f"{stem}.{fmt}")
+    if fmt == "csv":
+        stamp = not _effective(args, "no_timestamp", False)
+        write_csv(*data, out, timestamp=stamp, **options)
+    else:
+        reporting.write_json(make_json(*data, **options), out)
+    print(f"wrote {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +216,15 @@ def _cmd_material(args) -> int:
 
 def _cmd_potential(args) -> int:
     mirror = _resolve_mirror(args)
-    z_lo = _effective(args, "z_min_a0", 0.1)
-    z_hi = _effective(args, "z_max_a0", 1e7)
-    n = _effective(args, "points", 400)
-    if not 0 < z_lo < z_hi:
-        raise UsageError("need 0 < z-min < z-max")
-    table = build_potential_table(mirror, z_lo, z_hi, n)
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"potential_{_mirror_slug(mirror)}.{fmt}")
-    stamp = not _effective(args, "no_timestamp", False)
-    if fmt == "csv":
-        reporting.potential_table_csv(table, out, include_ratio=True,
-                                      timestamp=stamp)
-    else:
-        reporting.write_json(reporting.potential_table_json(table,
-                                                            include_ratio=True),
-                             out)
-    print(f"wrote {out}")
+    table = build_potential_table(mirror, *_grid(args, 0.1, 1e7, 400))
+    _emit(args, f"potential_{_mirror_slug(mirror)}", reporting.potential_table_csv,
+          reporting.potential_table_json, table, include_ratio=True)
     return 0
 
 
 def _table_for_solving(args, mirror: MirrorSpec):
-    z_lo, z_hi, n = _solver_grid(args)
-    return build_potential_table(mirror, z_lo, z_hi, n)
+    return build_potential_table(
+        mirror, *_grid(args, SOLVER_Z_LO, SOLVER_Z_HI, SOLVER_POINTS))
 
 
 def _cmd_reflect(args) -> int:
@@ -233,14 +232,8 @@ def _cmd_reflect(args) -> int:
     heights = _heights_m(args)
     table = _table_for_solving(args, mirror)
     points = reflection_sweep(table, heights_m=heights)
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"reflect_{_mirror_slug(mirror)}.{fmt}")
-    stamp = not _effective(args, "no_timestamp", False)
-    if fmt == "csv":
-        reporting.sweep_csv(points, out, timestamp=stamp)
-    else:
-        reporting.write_json(reporting.sweep_json(points), out)
-    print(f"wrote {out}")
+    _emit(args, f"reflect_{_mirror_slug(mirror)}", reporting.sweep_csv,
+          reporting.sweep_json, points)
     return 0 if all(p.result is not None for p in points) else 1
 
 
@@ -255,15 +248,8 @@ def _cmd_badlands(args) -> int:
         prof = badlands_profile(table, energy)
         profiles[h] = prof.q
         peaks[h] = (prof.peak_z, prof.peak_q)
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"badlands_{_mirror_slug(mirror)}.{fmt}")
-    stamp = not _effective(args, "no_timestamp", False)
-    if fmt == "csv":
-        reporting.badlands_csv(table.z, profiles, peaks, out, timestamp=stamp)
-    else:
-        reporting.write_json(reporting.badlands_json(table.z, profiles, peaks),
-                             out)
-    print(f"wrote {out}")
+    _emit(args, f"badlands_{_mirror_slug(mirror)}", reporting.badlands_csv,
+          reporting.badlands_json, table.z, profiles, peaks)
     return 0
 
 
@@ -274,14 +260,8 @@ def _cmd_lifetime(args) -> int:
     lt = gqs_lifetime(sl, mirror_label=mirror.label)
     porosity = mirror.porous_spec.porosity if mirror.kind == "porous" else None
     rows = [(mirror.label, porosity, abs(sl.im_a_nm), lt.tau_s)]
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"lifetime_{_mirror_slug(mirror)}.{fmt}")
-    stamp = not _effective(args, "no_timestamp", False)
-    if fmt == "csv":
-        reporting.lifetime_csv(rows, out, timestamp=stamp)
-    else:
-        reporting.write_json(reporting.lifetime_json(rows), out)
-    print(f"wrote {out}")
+    _emit(args, f"lifetime_{_mirror_slug(mirror)}", reporting.lifetime_csv,
+          reporting.lifetime_json, rows)
     return 0
 
 
@@ -320,7 +300,8 @@ def check_against_reference(key: str, computed: float, refs: dict) -> dict:
 
 
 def _table2_mirrors() -> list[tuple[str, MirrorSpec, bool]]:
-    """(row name, mirror, reflection reported?) for the benchmark set.
+    """(row name, mirror, reflection reported?): the one mirror registry of
+    every ``reproduce`` target; table1, fig1 and fig2 select rows by name.
 
     Reflection probabilities are deliberately not reported for the porous
     mirrors: at the benchmark energy the atoms approach within a few
@@ -328,7 +309,6 @@ def _table2_mirrors() -> list[tuple[str, MirrorSpec, bool]]:
     effective-medium description is not trustworthy.  Only lifetimes (set
     at much larger distances) are quoted, hence the blank cells.
     """
-    from .optics import load_builtin
     silica = load_builtin("silica")
     silicon = load_builtin("silicon")
     diamond = load_builtin("diamond")
@@ -344,14 +324,18 @@ def _table2_mirrors() -> list[tuple[str, MirrorSpec, bool]]:
     ]
 
 
+# the rows of table1, also compared in fig1 and fig2, strongest mirror first
+_TABLE1_ROWS = ("perfect_conductor", "silicon", "silica")
+
+
+def _registry_rows(names) -> dict[str, MirrorSpec]:
+    mirrors = {name: mirror for name, mirror, _ in _table2_mirrors()}
+    return {name: mirrors[name] for name in names}
+
+
 def _reproduce_table1(refs) -> list[dict]:
-    from .optics import load_builtin
     rows = []
-    for name, mirror in (
-        ("perfect_conductor", MirrorSpec.perfect_conductor()),
-        ("silicon", MirrorSpec.bulk(load_builtin("silicon"))),
-        ("silica", MirrorSpec.bulk(load_builtin("silica"))),
-    ):
+    for name, mirror in _registry_rows(_TABLE1_ROWS).items():
         table = build_potential_table(mirror, 0.1, 1e7, 400)
         rows.append(check_against_reference(f"table1.{name}.c3", table.c3, refs))
         rows.append(check_against_reference(f"table1.{name}.c4", table.c4, refs))
@@ -362,8 +346,7 @@ def _reproduce_table2(refs) -> list[dict]:
     energy = CONSTANTS.energy_au_from_height(0.30)
     rows = []
     for name, mirror, with_reflection in _table2_mirrors():
-        table = build_potential_table(mirror, SOLVER_Z_LO, SOLVER_Z_HI,
-                                      SOLVER_POINTS)
+        table = build_solver_table(mirror)
         if with_reflection:
             res = solve_reflection(table, energy)
             cell = check_against_reference(f"table2.{name}.refl",
@@ -386,14 +369,8 @@ def _reproduce_table2(refs) -> list[dict]:
 
 def _reproduce_fig1(refs) -> list[dict]:
     del refs  # structural checks only
-    from .optics import load_builtin
-    mirrors = [
-        ("perfect_conductor", MirrorSpec.perfect_conductor()),
-        ("silicon", MirrorSpec.bulk(load_builtin("silicon"))),
-        ("silica", MirrorSpec.bulk(load_builtin("silica"))),
-    ]
-    tables = {n: build_potential_table(m, SOLVER_Z_LO, SOLVER_Z_HI,
-                                       SOLVER_POINTS) for n, m in mirrors}
+    tables = {n: build_solver_table(m)
+              for n, m in _registry_rows(_TABLE1_ROWS).items()}
     z = np.geomspace(1.0, 1e6, 61)
     v_pc = np.abs(tables["perfect_conductor"].potential(z))
     v_si = np.abs(tables["silicon"].potential(z))
@@ -426,18 +403,8 @@ def _reproduce_fig1(refs) -> list[dict]:
 
 def _reproduce_fig2(refs) -> list[dict]:
     del refs  # structural checks only
-    from .optics import load_builtin
-    tables = {
-        "perfect_conductor": build_potential_table(
-            MirrorSpec.perfect_conductor(), SOLVER_Z_LO, SOLVER_Z_HI,
-            SOLVER_POINTS),
-        "silicon": build_potential_table(
-            MirrorSpec.bulk(load_builtin("silicon")), SOLVER_Z_LO,
-            SOLVER_Z_HI, SOLVER_POINTS),
-        "silica": build_potential_table(
-            MirrorSpec.bulk(load_builtin("silica")), SOLVER_Z_LO,
-            SOLVER_Z_HI, SOLVER_POINTS),
-    }
+    tables = {n: build_solver_table(m)
+              for n, m in _registry_rows(_TABLE1_ROWS).items()}
     e10 = CONSTANTS.energy_au_from_height(0.10)
     peaks10 = {n: badlands_profile(t, e10) for n, t in tables.items()}
     ok_left = (peaks10["perfect_conductor"].peak_z
@@ -478,19 +445,12 @@ def _cmd_reproduce(args) -> int:
         "fig2": _reproduce_fig2,
     }[args.target]
     rows = builder(refs)
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"reproduce_{args.target}.{fmt}")
-    stamp = not _effective(args, "no_timestamp", False)
-    if fmt == "csv":
-        reporting.comparison_csv(rows, out, timestamp=stamp)
-    else:
-        reporting.write_json(reporting.comparison_json(rows), out)
-    n_fail = sum(1 for r in rows if r["status"] == "fail")
     for r in rows:
         print(f"{r['target']}.{r['row']}.{r['quantity']}: {r['status']}"
               + (f" ({r['note']})" if r.get("note") else ""))
-    print(f"wrote {out}")
-    return 0 if n_fail == 0 else 1
+    _emit(args, f"reproduce_{args.target}", reporting.comparison_csv,
+          reporting.comparison_json, rows)
+    return 0 if all(r["status"] != "fail" for r in rows) else 1
 
 
 # ---------------------------------------------------------------------------

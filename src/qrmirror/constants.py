@@ -1,4 +1,4 @@
-"""Physical constants, the internal unit system, and unit conversions.
+"""Physical constants and the internal unit system.
 
 All physics modules compute in Hartree atomic units (hbar = m_e = e = 1,
 c = 1/alpha).  Externally visible quantities are emitted both in atomic
@@ -7,18 +7,12 @@ units and in the neV/nm system convenient for cold-atom work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
 # Electron mass and elementary charge (SI), used only to tie the atomic
 # unit system to the laboratory one.
 _ELECTRON_MASS_KG = 9.1093837015e-31
 _ELEMENTARY_CHARGE_C = 1.602176634e-19
-
-
-class UnitError(ValueError):
-    """Raised for dimensionally incompatible unit conversions."""
 
 
 @dataclass(frozen=True)
@@ -73,75 +67,3 @@ class PhysicalConstants:
 
 
 CONSTANTS = PhysicalConstants()
-
-
-class Unit(Enum):
-    """Unit tags used by this artifact; not a general units library."""
-
-    BOHR = "a0"
-    NANOMETER = "nm"
-    METER = "m"
-    HARTREE = "Eh"
-    NEV = "neV"
-    C3_AU = "Eh*a0^3"
-    C3_NEV_NM3 = "neV*nm^3"
-    C4_AU = "Eh*a0^4"
-    C4_NEV_NM4 = "neV*nm^4"
-    C5_AU = "Eh*a0^5"
-    C5_NEV_NM5 = "neV*nm^5"
-
-
-# dimension name and exact factor to the dimension's base unit
-# (base units: a0 for length, Eh for energy, Eh*a0^n for C_n).
-_BOHR_NM = CONSTANTS.bohr_nm
-_EH_NEV = CONSTANTS.hartree_neV
-
-_UNIT_TABLE: dict[Unit, tuple[str, float]] = {
-    Unit.BOHR: ("length", 1.0),
-    Unit.NANOMETER: ("length", 1.0 / _BOHR_NM),
-    Unit.METER: ("length", 1e9 / _BOHR_NM),
-    Unit.HARTREE: ("energy", 1.0),
-    Unit.NEV: ("energy", 1.0 / _EH_NEV),
-    Unit.C3_AU: ("C3", 1.0),
-    Unit.C3_NEV_NM3: ("C3", 1.0 / (_EH_NEV * _BOHR_NM**3)),
-    Unit.C4_AU: ("C4", 1.0),
-    Unit.C4_NEV_NM4: ("C4", 1.0 / (_EH_NEV * _BOHR_NM**4)),
-    Unit.C5_AU: ("C5", 1.0),
-    Unit.C5_NEV_NM5: ("C5", 1.0 / (_EH_NEV * _BOHR_NM**5)),
-}
-
-
-@dataclass(frozen=True)
-class Quantity:
-    value: float
-    unit: Unit
-
-    def to(self, target: Unit) -> "Quantity":
-        return convert(self, target)
-
-
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert ``q`` to ``target``; exact constant products, bijective."""
-    dim_src, f_src = _UNIT_TABLE[q.unit]
-    dim_dst, f_dst = _UNIT_TABLE[target]
-    if dim_src != dim_dst:
-        raise UnitError(
-            f"cannot convert {q.unit.value} ({dim_src}) to "
-            f"{target.value} ({dim_dst})"
-        )
-    return Quantity(q.value * f_src / f_dst, target)
-
-
-def energy_from_height(h_m: float) -> Quantity:
-    """Free-fall kinetic energy mg*h in neV, using the pinned mg constant."""
-    if h_m < 0:
-        raise ValueError(f"height must be non-negative, got {h_m}")
-    return Quantity(CONSTANTS.mg * h_m, Unit.NEV)
-
-
-def wavevector_au(energy_au: float, mass_au: float | None = None) -> float:
-    """Asymptotic wavevector k = sqrt(2 m E) / hbar in atomic units."""
-    if energy_au <= 0:
-        raise ValueError(f"energy must be positive, got {energy_au}")
-    m = CONSTANTS.mass_au if mass_au is None else mass_au
-    return math.sqrt(2.0 * m * energy_au)

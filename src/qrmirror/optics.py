@@ -58,10 +58,13 @@ class DielectricModel:
     def epsilon(self, xi):
         """eps(i*xi); accepts scalars or arrays, xi >= 0."""
         xi = np.asarray(xi, dtype=float)
-        eps = np.ones_like(xi)
+        if xi.ndim:
+            eps = np.ones_like(xi)
+        else:  # one xi: float arithmetic is ~10x cheaper than 0-d arrays
+            xi, eps = float(xi), 1.0
         for osc in self.oscillators:
             eps = eps + osc.plasma_sq / (osc.resonance_sq + xi * xi + osc.damping * xi)
-        return eps if eps.ndim else float(eps)
+        return eps
 
     @property
     def static_epsilon(self) -> float:
@@ -147,14 +150,17 @@ def fresnel(eps, kappa):
     r_TM = (eps*kappa - s)/(eps*kappa + s), r_TE = (kappa - s)/(kappa + s).
     For eps >= 1 these satisfy 0 <= r_TM <= 1 and -1 <= r_TE <= 0.
     """
-    eps = np.asarray(eps, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    s = np.sqrt(kappa * kappa - 1.0 + eps)
-    r_tm = (eps * kappa - s) / (eps * kappa + s)
-    r_te = (kappa - s) / (kappa + s)
+    r_tm, r_te, _ = _fresnel_s(np.asarray(eps, dtype=float),
+                               np.asarray(kappa, dtype=float))
     if r_tm.ndim or r_te.ndim:
         return r_tm, r_te
     return float(r_tm), float(r_te)
+
+
+def _fresnel_s(eps, kappa):
+    """(r_TM, r_TE, s) of ``fresnel``; the slab amplitude reuses s."""
+    s = np.sqrt(kappa * kappa - 1.0 + eps)
+    return (eps * kappa - s) / (eps * kappa + s), (kappa - s) / (kappa + s), s
 
 
 def slab_reflection(model: DielectricModel, thickness_au: float, xi, kappa):
@@ -166,12 +172,10 @@ def slab_reflection(model: DielectricModel, thickness_au: float, xi, kappa):
     if thickness_au <= 0:
         raise ValueError(f"slab thickness must be positive, got {thickness_au}")
     xi = np.asarray(xi, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    eps = model.epsilon(xi)
-    s = np.sqrt(kappa * kappa - 1.0 + eps)
-    r_tm, r_te = fresnel(eps, kappa)
-    decay = np.exp(-2.0 * xi * thickness_au / CONSTANTS.c_au * s)
-    grow = -np.expm1(-2.0 * xi * thickness_au / CONSTANTS.c_au * s)  # 1 - e^{-2d}
+    r_tm, r_te, s = _fresnel_s(model.epsilon(xi), np.asarray(kappa, dtype=float))
+    minus_two_delta = -2.0 * xi * thickness_au / CONSTANTS.c_au * s
+    decay = np.exp(minus_two_delta)
+    grow = -np.expm1(minus_two_delta)  # 1 - e^{-2 delta}
     r_tm_slab = r_tm * grow / (1.0 - r_tm * r_tm * decay)
     r_te_slab = r_te * grow / (1.0 - r_te * r_te * decay)
     if np.ndim(r_tm_slab):
@@ -202,7 +206,7 @@ def bruggeman_mix(spec: PorousSpec, xi):
     physical root e in [1, e_m]; reduces to a quadratic with positive root
     e = (b + sqrt(b^2 + 8 e_m))/4, b = 2 e_m - 1 - 3 f (e_m - 1).
     """
-    eps_m = np.asarray(spec.host.epsilon(xi), dtype=float)
+    eps_m = spec.host.epsilon(xi)
     f = spec.porosity
     b = 2.0 * eps_m - 1.0 - 3.0 * f * (eps_m - 1.0)
     eps_eff = 0.25 * (b + np.sqrt(b * b + 8.0 * eps_m))

@@ -24,7 +24,6 @@ import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -39,6 +38,9 @@ from .optics import (
     PorousSpec,
     SheetModel,
     bruggeman_mix,
+    fresnel,
+    sheet_reflection,
+    slab_reflection,
 )
 
 _C = CONSTANTS.c_au
@@ -79,8 +81,9 @@ class MirrorSpec:
             if self.dielectric.is_vacuum:
                 raise ValueError("vacuum is not a mirror")
         if self.kind == "slab":
-            if self.thickness_au is None or self.thickness_au <= 0:
-                raise ValueError("slab mirror needs thickness > 0")
+            if self.thickness_au is None or not 0 < self.thickness_au < math.inf:
+                raise ValueError("slab mirror needs a finite thickness > 0, "
+                                 f"got {self.thickness_au}")
         if self.kind == "sheet" and self.sheet is None:
             raise ValueError("sheet mirror needs a SheetModel")
         if self.kind == "porous":
@@ -88,6 +91,8 @@ class MirrorSpec:
                 raise ValueError("porous mirror needs a PorousSpec")
             if self.porous_spec.host.is_vacuum:
                 raise ValueError("porous host must not be vacuum")
+            if self.porous_spec.porosity == 1.0:
+                raise ValueError("porosity 1 leaves vacuum: not a mirror")
 
     @classmethod
     def perfect_conductor(cls) -> "MirrorSpec":
@@ -147,15 +152,16 @@ class MirrorSpec:
             return bruggeman_mix(self.porous_spec, xi)
         raise ValueError(f"{self.kind} mirror has no dielectric function")
 
+    def reflection(self, xi, kappa):
+        """(r_TM, r_TE) at imaginary frequency xi and transverse kappa >= 1.
 
-@lru_cache(maxsize=65536)
-def _eps_bulk_cached(model: DielectricModel, xi: float) -> float:
-    return float(model.epsilon(xi))
-
-
-@lru_cache(maxsize=65536)
-def _eps_porous_cached(spec: PorousSpec, xi: float) -> float:
-    return float(bruggeman_mix(spec, xi))
+        Not defined for the perfect conductor, whose kernel is closed-form.
+        """
+        if self.kind == "sheet":
+            return sheet_reflection(self.sheet, xi, kappa)
+        if self.kind == "slab":
+            return slab_reflection(self.dielectric, self.thickness_au, xi, kappa)
+        return fresnel(self.effective_epsilon(xi), kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -190,45 +196,13 @@ def _kappa_nodes(a: float):
     return kappas.ravel(), weights.ravel()
 
 
-def _kernel_dielectric(eps: float, a: float,
-                       slab_delta_per_s: float | None = None) -> float:
-    """Quadrature kernel for bulk/porous (and slab when delta/s is given)."""
-    kappa, w = _kappa_nodes(a)
-    s = np.sqrt(kappa * kappa - 1.0 + eps)
-    r_tm = (eps * kappa - s) / (eps * kappa + s)
-    r_te = (kappa - s) / (kappa + s)
-    if slab_delta_per_s is not None:
-        decay = np.exp(-2.0 * slab_delta_per_s * s)
-        grow = -np.expm1(-2.0 * slab_delta_per_s * s)
-        r_tm = r_tm * grow / (1.0 - r_tm * r_tm * decay)
-        r_te = r_te * grow / (1.0 - r_te * r_te * decay)
-    g = (2.0 * kappa * kappa - 1.0) * r_tm - r_te
-    return float(np.sum(w * np.exp(-a * kappa) * g))
-
-
-def _kernel_sheet(a: float, eta: float) -> float:
-    """Quadrature kernel for the constant-conductivity sheet."""
-    if eta == 0.0:
-        return 0.0
-    kappa, w = _kappa_nodes(a)
-    x = 0.5 * eta * kappa
-    y = 0.5 * eta / kappa
-    g = (2.0 * kappa * kappa - 1.0) * x / (1.0 + x) + y / (1.0 + y)
-    return float(np.sum(w * np.exp(-a * kappa) * g))
-
-
 def _kernel(mirror: MirrorSpec, xi: float, a: float) -> float:
     if mirror.kind == "perfect_conductor":
         return _kernel_perfect_conductor(a)
-    if mirror.kind == "sheet":
-        return _kernel_sheet(a, mirror.sheet.eta)
-    if mirror.kind == "porous":
-        eps = _eps_porous_cached(mirror.porous_spec, xi)
-        return _kernel_dielectric(eps, a)
-    eps = _eps_bulk_cached(mirror.dielectric, xi)
-    if mirror.kind == "slab":
-        return _kernel_dielectric(eps, a, slab_delta_per_s=xi * mirror.thickness_au / _C)
-    return _kernel_dielectric(eps, a)
+    kappa, w = _kappa_nodes(a)
+    r_tm, r_te = mirror.reflection(xi, kappa)
+    g = (2.0 * kappa * kappa - 1.0) * r_tm - r_te
+    return float(np.sum(w * np.exp(-a * kappa) * g))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +218,8 @@ def cp_potential_point(mirror: MirrorSpec, z_au: float,
     QuadratureError with the achieved error estimate if the target relative
     accuracy cannot be met.
     """
-    if z_au <= 0:
-        raise ValueError(f"distance must be positive, got {z_au}")
+    if not 0 < z_au < math.inf:
+        raise ValueError(f"distance must be positive and finite, got {z_au}")
 
     def integrand(xi: float) -> float:
         a = 2.0 * xi * z_au / _C
@@ -573,8 +547,8 @@ def build_potential_table(mirror: MirrorSpec,
                           alpha: Polarizability = DEFAULT_POLARIZABILITY,
                           target_rel: float = 1e-6) -> PotentialTable:
     """Tabulate V(z) on a log grid and fit the asymptotic coefficients."""
-    if not (0 < z_lo < z_hi):
-        raise ValueError("need 0 < z_lo < z_hi")
+    if not 0 < z_lo < z_hi < math.inf:
+        raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")
     if n_points < 16:
         raise ValueError("need n_points >= 16")
     z = np.geomspace(z_lo, z_hi, n_points)

@@ -41,20 +41,6 @@ class SolveError(RuntimeError):
     """Raised when an amplitude integration cannot be completed/accepted."""
 
 
-def local_momentum(energy_au: float, potential_au, mass_au: float = _M):
-    """Semiclassical momentum p = sqrt(2m(E - V)) in atomic units.
-
-    E > 0 and V <= 0 (attractive), so p > sqrt(2mE) everywhere.
-    """
-    if energy_au <= 0:
-        raise ValueError(f"energy must be positive, got {energy_au}")
-    v = np.asarray(potential_au, dtype=float)
-    if np.any(v > 0):
-        raise ValueError("potential must be attractive (V <= 0)")
-    p = np.sqrt(2.0 * mass_au * (energy_au - v))
-    return p if p.ndim else float(p)
-
-
 # ---------------------------------------------------------------------------
 # badlands function
 

@@ -21,21 +21,23 @@ from qrmirror.potential import MirrorSpec, PotentialTable, build_solver_table
 
 @pytest.fixture(scope="session")
 def run_cli():
-    """Callable ``run_cli(*args, cwd=None)`` that runs the CLI as
-    ``python -m qrmirror *args`` and returns the CompletedProcess.
+    """Callable ``run_cli(*args, cwd=None, timeout=900)`` that runs the CLI
+    as ``python -m qrmirror *args`` and returns the CompletedProcess.
 
     The child's PYTHONPATH starts with the absolute directory holding the
     imported ``qrmirror`` (``src/`` or site-packages), so a child started
-    from any working directory runs the code under test."""
+    from any working directory runs the code under test.  A child still
+    running after ``timeout`` seconds is killed and the test fails with
+    ``subprocess.TimeoutExpired``, so a hang cannot stall the suite."""
     env = dict(os.environ)
     root = str(Path(qrmirror.__file__).resolve().parents[1])
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
 
-    def run(*args: str, cwd=None) -> subprocess.CompletedProcess:
+    def run(*args: str, cwd=None, timeout=900) -> subprocess.CompletedProcess:
         cmd = [sys.executable, "-m", "qrmirror", *args]
         return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd,
-                              env=env)
+                              env=env, timeout=timeout)
 
     return run
 

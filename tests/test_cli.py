@@ -7,6 +7,8 @@ import json
 
 import pytest
 
+from qrmirror import cli
+
 
 def test_help(run_cli):
     cp = run_cli("--help")
@@ -44,6 +46,32 @@ def test_zero_height_rejected(run_cli, tmp_path):
     cp = run_cli("reflect", "--mirror", "silica", "--height-cm", "0",
                  cwd=tmp_path)
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "--mirror", "perfect_conductor", "--z-max-a0", "inf",
+     "--points", "16"],
+    ["potential", "--mirror", "silica", "--slab-nm", "inf"],
+])
+def test_non_finite_grid_or_thickness_exits_2(run_cli, tmp_path, argv):
+    # a zero response scale gives the xi panel loop of the quadrature no end;
+    # the timeout turns such a hang into a failure
+    cp = run_cli(*argv, cwd=tmp_path, timeout=60)
+    assert cp.returncode == 2
+    assert "error:" in cp.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["potential", "--mirror", "silica", "--slab-nm", "nan"], "finite"),
+    (["reflect", "--mirror", "silica", "--height-cm", "nan"], "finite"),
+    (["reflect", "--mirror", "silica", "--height-cm", "inf"], "finite"),
+    (["potential", "--mirror", "silica", "--porosity", "1"], "not a mirror"),
+])
+def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_slab_and_porosity_conflict(run_cli, tmp_path):

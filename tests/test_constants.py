@@ -1,17 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
-from qrmirror.constants import (
-    CONSTANTS,
-    Quantity,
-    Unit,
-    UnitError,
-    convert,
-    energy_from_height,
-    wavevector_au,
-)
+from qrmirror import reporting
+from qrmirror.constants import CONSTANTS
 
 
 def test_weight_constant_consistent_with_mass_and_g():
@@ -27,91 +19,44 @@ def test_paper_unit_values():
     assert CONSTANTS.c_au == pytest.approx(137.036, abs=1e-3)
 
 
+def _height_energy_nev(h_m: float) -> float:
+    return CONSTANTS.energy_au_from_height(h_m) * CONSTANTS.hartree_neV
+
+
 def test_energy_from_height_30cm():
-    q = energy_from_height(0.30)
-    assert q.unit is Unit.NEV
-    assert q.value == pytest.approx(30.75, rel=1e-12)
+    assert _height_energy_nev(0.30) == pytest.approx(30.75, rel=1e-12)
 
 
 def test_energy_from_height_zero():
-    assert energy_from_height(0.0).value == 0.0
+    assert CONSTANTS.energy_au_from_height(0.0) == 0.0
 
 
 def test_energy_from_height_10cm():
-    assert energy_from_height(0.10).value == pytest.approx(10.25, rel=1e-12)
+    assert _height_energy_nev(0.10) == pytest.approx(10.25, rel=1e-12)
 
 
 def test_energy_from_height_rejects_negative():
     with pytest.raises(ValueError):
-        energy_from_height(-0.1)
-    with pytest.raises(ValueError):
         CONSTANTS.energy_au_from_height(-1e-9)
 
 
-def test_c3_unit_conversion_matches_reference_table():
-    q = convert(Quantity(0.25, Unit.C3_AU), Unit.C3_NEV_NM3)
-    assert q.value == pytest.approx(1.01e6, rel=5e-3)
+# The neV/nm coefficients that the potential CSV/JSON reports carry.
 
 
-def test_c4_unit_conversion_matches_reference_table():
-    q = convert(Quantity(73.6, Unit.C4_AU), Unit.C4_NEV_NM4)
-    assert q.value == pytest.approx(1.57e7, rel=5e-3)
+def test_c3_unit_conversion_matches_reference_table(pc_table):
+    fit = reporting.potential_table_json(pc_table)["fit"]
+    assert fit["C3_neV_nm3"] == pytest.approx(1.01e6, rel=5e-3)
 
 
-def test_identity_conversion():
-    q = convert(Quantity(1.0, Unit.C3_AU), Unit.C3_AU)
-    assert q.value == 1.0
-
-
-def test_quantity_to_method():
-    q = Quantity(1.0, Unit.NANOMETER).to(Unit.BOHR)
-    assert q.unit is Unit.BOHR
-    assert q.value == pytest.approx(1.0 / 0.052917, rel=1e-6)
-
-
-def test_incompatible_dimensions_rejected():
-    with pytest.raises(UnitError):
-        convert(Quantity(1.0, Unit.C3_AU), Unit.C4_AU)
-    with pytest.raises(UnitError):
-        convert(Quantity(1.0, Unit.NEV), Unit.NANOMETER)
-
-
-_LENGTH_UNITS = [Unit.BOHR, Unit.NANOMETER, Unit.METER]
-_ENERGY_UNITS = [Unit.HARTREE, Unit.NEV]
-
-
-@given(
-    value=st.floats(min_value=1e-12, max_value=1e12),
-    src=st.sampled_from(_LENGTH_UNITS + _ENERGY_UNITS),
-    dst=st.sampled_from(_LENGTH_UNITS + _ENERGY_UNITS),
-)
-def test_conversion_round_trip(value, src, dst):
-    same_dim = (src in _LENGTH_UNITS) == (dst in _LENGTH_UNITS)
-    if not same_dim:
-        with pytest.raises(UnitError):
-            convert(Quantity(value, src), dst)
-        return
-    out = convert(convert(Quantity(value, src), dst), src)
-    assert out.value == pytest.approx(value, rel=1e-12)
-    assert out.unit is src
-
-
-def test_conversions_compose():
-    q = Quantity(3.7, Unit.METER)
-    direct = convert(q, Unit.BOHR)
-    via_nm = convert(convert(q, Unit.NANOMETER), Unit.BOHR)
-    assert via_nm.value == pytest.approx(direct.value, rel=1e-12)
+def test_c4_unit_conversion_matches_reference_table(pc_table):
+    fit = reporting.potential_table_json(pc_table)["fit"]
+    assert fit["C4_neV_nm4"] == pytest.approx(1.57e7, rel=5e-3)
 
 
 def test_wavevector_and_de_broglie_wavelength_at_30cm():
     # free fall from 30 cm: v = sqrt(2gh) = 2.43 m/s, lambda = h_planck/(m v)
     # = 163.2 nm
     energy = CONSTANTS.energy_au_from_height(0.30)
-    k = wavevector_au(energy)
+    k = math.sqrt(2.0 * CONSTANTS.mass_au * energy)
     lam_nm = 2.0 * math.pi / k * CONSTANTS.bohr_nm
     assert lam_nm == pytest.approx(163.2, abs=0.5)
-
-
-def test_wavevector_rejects_nonpositive_energy():
-    with pytest.raises(ValueError):
-        wavevector_au(0.0)

@@ -54,6 +54,8 @@ def test_epsilon_monotone_decreasing():
         xi = np.geomspace(1e-6, 1e3, 400)
         eps = model.epsilon(xi)
         assert np.all(np.diff(eps) <= 0)
+        # the scalar path does the same arithmetic as the array path
+        assert [model.epsilon(x) for x in xi[::40]] == eps[::40].tolist()
 
 
 def test_vacuum_model():

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qrmirror.constants import CONSTANTS
-from qrmirror.optics import load_builtin
+from qrmirror.optics import graphene_sheet, load_builtin
 from qrmirror.potential import (
     AsymptoticsError,
     MirrorSpec,
@@ -37,6 +39,11 @@ def test_mirror_validation():
         MirrorSpec(kind="nonsense")
     with pytest.raises(ValueError):
         MirrorSpec.porous(si, 1.5)
+    for thickness in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite thickness"):
+            MirrorSpec.slab(si, thickness)
+    with pytest.raises(ValueError, match="not a mirror"):
+        MirrorSpec.porous(si, 1.0)
 
 
 def test_mirror_labels():
@@ -69,8 +76,34 @@ def test_bulk_silica_retarded_within_model_tolerance():
 
 
 def test_potential_point_rejects_nonpositive_z():
-    with pytest.raises(ValueError):
-        cp_potential_point(PC, 0.0)
+    for z in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cp_potential_point(PC, z)
+
+
+_SILICA = load_builtin("silica")
+
+
+# V(z) in Eh of each mirror kind at z = 1e-6, 1e2 and 1e5 a0, pinned at
+# 1e-12 relative: the physics tolerances elsewhere would let a drift of the
+# reflection amplitudes or of the quadrature pass unseen.
+@pytest.mark.parametrize("mirror, pinned", [
+    (PC, (-2.499999994838179e+17, -2.036530133040789e-07,
+          -7.360743741151347e-19)),
+    (MirrorSpec.bulk(_SILICA), (-5.205226923829111e+16, -4.7295175082374795e-08,
+                                -3.2126341877092377e-19)),
+    (MirrorSpec.slab_nm(_SILICA, 5.0), (-5.205226923829111e+16,
+                                        -4.2224468996251444e-08,
+                                        -1.9557110662874343e-21)),
+    (MirrorSpec.conducting_sheet(graphene_sheet()),
+     (-2.4999933317203715e+17, -2.380704497950035e-08,
+      -3.6781920043030276e-20)),
+    (MirrorSpec.porous(load_builtin("diamond"), 0.95),
+     (-7170541469633105.0, -6.4640626329355395e-09, -2.631289668603117e-20)),
+], ids=["pc", "bulk", "slab", "sheet", "porous"])
+def test_potential_point_parity(mirror, pinned):
+    for z, v in zip((1e-6, 1e2, 1e5), pinned):
+        assert cp_potential_point(mirror, z) == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def test_unreachable_accuracy_target_reports_estimate():
@@ -210,6 +243,8 @@ def test_build_table_validation():
         build_potential_table(PC, -1.0, 10.0, 40)
     with pytest.raises(ValueError):
         build_potential_table(PC, 0.1, 1e7, 8)
+    with pytest.raises(ValueError):
+        build_potential_table(PC, 0.1, math.inf, 16)
 
 
 def test_table_rejects_bad_samples():

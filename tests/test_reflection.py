@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from qrmirror.reflection import (
     SolveOptions,
     badlands_profile,
     badlands_q,
-    local_momentum,
     reflection_sweep,
     solve_reflection,
 )
@@ -18,27 +15,6 @@ from qrmirror.reporting import sweep_csv
 
 _M = CONSTANTS.mass_au
 E30 = CONSTANTS.energy_au_from_height(0.30)
-
-
-# -- local momentum ----------------------------------------------------------
-
-
-def test_momentum_free_particle():
-    e = 1e-9
-    assert local_momentum(e, 0.0) == pytest.approx(math.sqrt(2 * _M * e))
-
-
-def test_momentum_potential_equal_to_energy():
-    e = CONSTANTS.energy_au_from_height(0.30)
-    p = local_momentum(e, -e)
-    assert p == pytest.approx(math.sqrt(2.0) * math.sqrt(2 * _M * e), rel=1e-12)
-
-
-def test_momentum_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        local_momentum(-1e-9, 0.0)
-    with pytest.raises(ValueError):
-        local_momentum(1e-9, +1e-9)
 
 
 # -- badlands ----------------------------------------------------------------
