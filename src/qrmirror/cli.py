@@ -50,9 +50,10 @@ class UsageError(ValueError):
 # configuration
 
 
-_CONFIG_KEYS = {
-    "mirror", "slab_nm", "porosity", "height_cm", "format", "out",
-    "no_timestamp", "z_min_a0", "z_max_a0", "points",
+_OUTPUT_KEYS = {"format", "out", "no_timestamp"}
+_CONFIG_KEYS = _OUTPUT_KEYS | {
+    "mirror", "slab_nm", "porosity", "height_cm", "z_min_a0", "z_max_a0",
+    "points",
 }
 
 
@@ -437,6 +438,10 @@ def _reproduce_fig2(refs) -> list[dict]:
 
 
 def _cmd_reproduce(args) -> int:
+    ignored = sorted(set(args._config) - _OUTPUT_KEYS)
+    if ignored:
+        raise UsageError("reproduce uses its own mirrors, heights and grids; "
+                         f"the config sets {', '.join(ignored)}")
     refs = load_tolerances()
     builder = {
         "table1": _reproduce_table1,
@@ -466,6 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_output(p):
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out")
+        p.add_argument("--config")
+        p.add_argument("--no-timestamp", dest="no_timestamp",
+                       action="store_const", const=True, default=None)
+
     def add_common(p, heights=False):
         p.add_argument("--mirror", help="material name, file path, "
                                         "'perfect_conductor' or 'graphene'")
@@ -480,11 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--z-min-a0", dest="z_min_a0", type=float)
         p.add_argument("--z-max-a0", dest="z_max_a0", type=float)
         p.add_argument("--points", type=int)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out")
-        p.add_argument("--config")
-        p.add_argument("--no-timestamp", dest="no_timestamp",
-                       action="store_const", const=True, default=None)
+        add_output(p)
 
     p_mat = sub.add_parser("material", help="list or show shipped materials")
     p_mat.add_argument("action", choices=("list", "show"))
@@ -509,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="benchmark comparison bundles")
     p_rep.add_argument("target", choices=("table1", "table2", "fig1", "fig2"))
-    add_common(p_rep)
+    add_output(p_rep)
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -53,8 +53,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
                        points_per_wavelength: int = 100,
                        mass_au: float = _M) -> NumerovResult:
     """|r| from Numerov integration between the given WKB-exact endpoints."""
-    if energy_au <= 0:
-        raise ValueError(f"energy must be positive, got {energy_au}")
+    if not 0 < energy_au < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy_au}")
     if not table.z_min <= z_start < z_end <= table.z_max:
         raise ValueError("integration window outside the table")
 

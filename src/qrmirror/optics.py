@@ -58,10 +58,7 @@ class DielectricModel:
     def epsilon(self, xi):
         """eps(i*xi); accepts scalars or arrays, xi >= 0."""
         xi = np.asarray(xi, dtype=float)
-        if xi.ndim:
-            eps = np.ones_like(xi)
-        else:  # one xi: float arithmetic is ~10x cheaper than 0-d arrays
-            xi, eps = float(xi), 1.0
+        eps = np.ones_like(xi)
         for osc in self.oscillators:
             eps = eps + osc.plasma_sq / (osc.resonance_sq + xi * xi + osc.damping * xi)
         return eps

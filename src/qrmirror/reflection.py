@@ -57,8 +57,8 @@ class BadlandsProfile:
 def badlands_q(table: PotentialTable, energy_au: float, z_au,
                mass_au: float = _M):
     """Q(z) evaluated from analytic derivatives of the table interpolant."""
-    if energy_au <= 0:
-        raise ValueError(f"energy must be positive, got {energy_au}")
+    if not 0 < energy_au < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy_au}")
     z = np.asarray(z_au, dtype=float)
     v, vp, vpp = table.derivatives(z)
     p_sq = 2.0 * mass_au * (energy_au - v)
@@ -170,8 +170,8 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     (relative change below r_tol across the trailing decade of z).
     """
     opts = opts or SolveOptions()
-    if energy_au <= 0:
-        raise ValueError(f"energy must be positive, got {energy_au}")
+    if not 0 < energy_au < math.inf:
+        raise ValueError(f"energy must be positive and finite, got {energy_au}")
     if table.is_null:
         return ReflectionResult(r=0.0j, probability=0.0, loss=1.0,
                                 energy_au=energy_au, z_start=table.z_min,

@@ -74,6 +74,44 @@ def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, argv, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "table1", "--points", "16"],
+    ["reproduce", "table1", "--mirror", "graphene"],
+    ["reproduce", "table1", "--z-min-a0", "5"],
+    ["reproduce", "table2", "--height-cm", "10"],
+])
+def test_reproduce_rejects_mirror_and_grid_flags(capsys, argv):
+    # reproduce runs its own registry of mirrors on fixed grids
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mirror", "graphene"), ("slab_nm", "5"), ("porosity", "0.5"),
+    ("height_cm", "10"), ("z_min_a0", "5"), ("z_max_a0", "1e6"),
+    ("points", "16"),
+])
+def test_reproduce_rejects_mirror_and_grid_config(monkeypatch, tmp_path,
+                                                  capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\nno_timestamp = yes\n")
+    assert cli.main(["reproduce", "table1", "--config", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_reproduce_accepts_output_config(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = json\nout = t1.json\nno_timestamp = yes\n")
+    assert cli.main(["reproduce", "table1", "--config", str(cfg)]) == 0
+    cells = json.loads((tmp_path / "t1.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["pass"] * 6
+
+
 def test_slab_and_porosity_conflict(run_cli, tmp_path):
     cp = run_cli("potential", "--mirror", "silica", "--slab-nm", "5",
                  "--porosity", "0.5", cwd=tmp_path)

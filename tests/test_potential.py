@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from qrmirror.constants import CONSTANTS
-from qrmirror.optics import graphene_sheet, load_builtin
+from qrmirror.optics import DEFAULT_POLARIZABILITY, graphene_sheet, load_builtin
 from qrmirror.potential import (
     AsymptoticsError,
     MirrorSpec,
@@ -106,10 +107,56 @@ def test_potential_point_parity(mirror, pinned):
         assert cp_potential_point(mirror, z) == pytest.approx(v, rel=1e-12, abs=0)
 
 
+def _pc_potential_oracle(z):
+    """Perfect-conductor V(z) as a 1-d scipy quad over xi of
+    xi^3 alpha(i xi) 2 e^{-a} (a^2 + 2a + 2) / a^3, a = 2 xi z / c."""
+    ((strength, w),) = DEFAULT_POLARIZABILITY.oscillators
+    c = CONSTANTS.c_au
+
+    def f(xi):
+        a = 2.0 * xi * z / c
+        return (xi**3 * strength / (1.0 + (xi / w) ** 2)
+                * 2.0 * math.exp(-a) * (a * a + 2.0 * a + 2.0) / a**3)
+
+    # flat below xi_lo; e^{-a} <= e^{-2000} above xi_hi
+    xi_lo = 1e-3 * min(w, c / (2 * z))
+    xi_hi = 1e3 * max(w, c / (2 * z))
+    head = quad(f, 0.0, xi_lo, epsabs=0.0, epsrel=1e-13)[0]
+    body = quad(lambda s: f(math.exp(s)) * math.exp(s),
+                math.log(xi_lo), math.log(xi_hi),
+                points=(math.log(w), math.log(c / (2 * z))),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return -(head + body) / (2.0 * math.pi * c**3)
+
+
+def test_pc_potential_matches_scalar_oracle_over_solver_range():
+    for z in np.geomspace(1e-8, 1e7, 15):
+        assert cp_potential_point(PC, z) == pytest.approx(
+            _pc_potential_oracle(z), rel=1e-10, abs=0)
+
+
 def test_unreachable_accuracy_target_reports_estimate():
     from qrmirror.potential import QuadratureError
     with pytest.raises(QuadratureError, match="relative error"):
         cp_potential_point(PC, 1.0, target_rel=1e-16)
+
+
+def test_tail_and_refinement_limits_leave_the_value(monkeypatch):
+    from qrmirror import potential
+    v = cp_potential_point(PC, 1e2)
+    # every tail decade is summed until e^{-a} underflows to exactly 0
+    monkeypatch.setattr(potential, "_NEGLIGIBLE", 0.0)
+    assert cp_potential_point(PC, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+    # no panel ever meets a zero budget: refinement stops at the panel cap
+    monkeypatch.setattr(potential, "_PANEL_RTOL", 0.0)
+    assert cp_potential_point(PC, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+
+
+def test_non_finite_integrand_raises():
+    from qrmirror.optics import Polarizability
+    from qrmirror.potential import QuadratureError
+    with pytest.raises(QuadratureError, match="relative error"):
+        cp_potential_point(PC, 1.0, Polarizability(((math.nan, 0.4),)))
 
 
 def test_pc_agrees_with_huge_epsilon_bulk():

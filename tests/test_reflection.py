@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qrmirror.constants import CONSTANTS
+from qrmirror.numerov import numerov_reflection
 from qrmirror.potential import PotentialTable
 from qrmirror.reflection import (
     SolveError,
@@ -83,6 +86,17 @@ def test_silica_reflection_at_30cm(silica_table):
 def test_solver_rejects_nonpositive_energy(pc_table):
     with pytest.raises(ValueError):
         solve_reflection(pc_table, 0.0)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("call", [
+    lambda table, e: solve_reflection(table, e),
+    lambda table, e: badlands_q(table, e, 1.0),
+    lambda table, e: numerov_reflection(table, e, table.z_min, table.z_max),
+], ids=["solve_reflection", "badlands_q", "numerov_reflection"])
+def test_energy_must_be_positive_and_finite(pure_c3_table, call, energy):
+    with pytest.raises(ValueError, match="positive and finite"):
+        call(pure_c3_table, energy)
 
 
 def test_null_table_reflects_nothing():
