@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
-from .reflection import SolveOptions, solve_reflection
+from .reflection import solve_reflection
 
 _M = CONSTANTS.mass_au
+_LINEARITY_TOL = 0.05   # allowed relative spread of the two threshold estimates
 
 
 class ExtractionError(RuntimeError):
@@ -58,16 +59,13 @@ class LifetimeResult:
 
 
 def scattering_length(table: PotentialTable,
-                      heights_m: tuple[float, float] = (1e-7, 4e-7),
-                      opts: SolveOptions | None = None,
-                      mass_au: float = _M,
-                      linearity_tol: float = 0.05,
-                      _retry: bool = True) -> ScatteringLength:
+                      heights_m: tuple[float, float] = (1e-7, 4e-7)
+                      ) -> ScatteringLength:
     """Extract a = -i |Im a| from reflection losses at two small energies.
 
     With h2 = 4 h1 the wavevectors satisfy k2 = 2 k1 and the Richardson
     extrapolation 2*est(k1) - est(k2) removes the O(k) correction.  If the
-    two single-energy estimates differ by more than ``linearity_tol`` the
+    two single-energy estimates differ by more than _LINEARITY_TOL (5%) the
     extraction retries once at 10x smaller heights, then fails.
     """
     h1, h2 = heights_m
@@ -76,30 +74,31 @@ def scattering_length(table: PotentialTable,
     if table.is_null:
         return ScatteringLength(a=0.0j, source_energies_au=(0.0, 0.0),
                                 estimates=(0.0, 0.0), linear_deviation=0.0)
-    energies = (CONSTANTS.energy_au_from_height(h1),
-                CONSTANTS.energy_au_from_height(h2))
-    estimates = []
-    for energy in energies:
-        res = solve_reflection(table, energy, opts, mass_au)
-        k = math.sqrt(2.0 * mass_au * energy)
-        estimates.append(res.loss / (4.0 * k))
-    e1, e2 = estimates
-    scale = max(abs(e1), abs(e2))
-    if scale == 0.0:
-        return ScatteringLength(a=0.0j, source_energies_au=energies,
-                                estimates=(e1, e2), linear_deviation=0.0)
-    deviation = abs(e1 - e2) / scale
-    if deviation > linearity_tol:
-        if _retry:
-            return scattering_length(table, (h1 / 10.0, h2 / 10.0), opts,
-                                     mass_au, linearity_tol, _retry=False)
+    # one retry at 10x smaller heights if the first pair is not linear
+    for h1, h2 in ((h1, h2), (h1 / 10.0, h2 / 10.0)):
+        energies = (CONSTANTS.energy_au_from_height(h1),
+                    CONSTANTS.energy_au_from_height(h2))
+        estimates = []
+        for energy in energies:
+            res = solve_reflection(table, energy)
+            k = math.sqrt(2.0 * _M * energy)
+            estimates.append(res.loss / (4.0 * k))
+        e1, e2 = estimates
+        scale = max(abs(e1), abs(e2))
+        if scale == 0.0:
+            return ScatteringLength(a=0.0j, source_energies_au=energies,
+                                    estimates=(e1, e2), linear_deviation=0.0)
+        deviation = abs(e1 - e2) / scale
+        if deviation <= _LINEARITY_TOL:
+            break
+    else:
         raise ExtractionError(
             f"{table.label}: threshold estimates differ by {deviation:.1%} "
-            f"(> {linearity_tol:.0%}) at h = {h1:g}, {h2:g} m: "
+            f"(> {_LINEARITY_TOL:.0%}) at h = {h1:g}, {h2:g} m: "
             f"not in the linear regime"
         )
-    k1 = math.sqrt(2.0 * mass_au * energies[0])
-    k2 = math.sqrt(2.0 * mass_au * energies[1])
+    k1 = math.sqrt(2.0 * _M * energies[0])
+    k2 = math.sqrt(2.0 * _M * energies[1])
     im_a = (k2 * e1 - k1 * e2) / (k2 - k1)   # extrapolated to k -> 0
     return ScatteringLength(a=complex(0.0, -im_a),
                             source_energies_au=energies,
@@ -126,10 +125,6 @@ def gqs_lifetime(scattering: ScatteringLength,
                           scattering=scattering)
 
 
-def lifetime_for_table(table: PotentialTable,
-                       heights_m: tuple[float, float] = (1e-7, 4e-7),
-                       opts: SolveOptions | None = None,
-                       mass_au: float = _M) -> LifetimeResult:
+def lifetime_for_table(table: PotentialTable) -> LifetimeResult:
     """Convenience chain: threshold extraction then lifetime."""
-    sl = scattering_length(table, heights_m, opts, mass_au)
-    return gqs_lifetime(sl, mirror_label=table.label)
+    return gqs_lifetime(scattering_length(table), mirror_label=table.label)

@@ -38,27 +38,26 @@ class NumerovResult:
 
 
 def _phase_between(table: PotentialTable, energy_au: float,
-                   z1: float, z2: float, mass_au: float) -> float:
+                   z1: float, z2: float) -> float:
     """Integral of p(z) over [z1, z2] by 16-point Gauss-Legendre."""
     half = 0.5 * (z2 - z1)
     mid = 0.5 * (z2 + z1)
     z = mid + half * _GL16_X
     v = table.potential(z)
-    p = np.sqrt(2.0 * mass_au * (energy_au - v))
+    p = np.sqrt(2.0 * _M * (energy_au - v))
     return float(half * np.sum(_GL16_W * p))
 
 
 def numerov_reflection(table: PotentialTable, energy_au: float,
                        z_start: float, z_end: float,
-                       points_per_wavelength: int = 100,
-                       mass_au: float = _M) -> NumerovResult:
+                       points_per_wavelength: int = 100) -> NumerovResult:
     """|r| from Numerov integration between the given WKB-exact endpoints."""
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
     if not table.z_min <= z_start < z_end <= table.z_max:
         raise ValueError("integration window outside the table")
 
-    two_m = 2.0 * mass_au
+    two_m = 2.0 * _M
 
     def wavevector(z):
         return np.sqrt(two_m * (energy_au - table.potential(z)))
@@ -69,7 +68,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
 
     # WKB seed for the incoming wave at the two leading points
     k2 = float(wavevector(z_start + h))
-    phi12 = _phase_between(table, energy_au, z_start, z_start + h, mass_au)
+    phi12 = _phase_between(table, energy_au, z_start, z_start + h)
     psi_prev = (1.0 / math.sqrt(k0)) + 0.0j
     psi_last = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
     z_last = z_start + h
@@ -117,7 +116,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     j1 = max(0, j2 - quarter)
     za, zb = float(z_tail[j1]), float(z_tail[j2])
     ka, kb = float(wavevector(za)), float(wavevector(zb))
-    dphi = _phase_between(table, energy_au, za, zb, mass_au)
+    dphi = _phase_between(table, energy_au, za, zb)
     # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
     m11 = 1.0 / math.sqrt(ka)
     m12 = 1.0 / math.sqrt(ka)

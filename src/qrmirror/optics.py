@@ -36,6 +36,9 @@ class Oscillator:
     damping: float = 0.0
 
     def validate(self) -> None:
+        values = (self.plasma_sq, self.resonance_sq, self.damping)
+        if not all(math.isfinite(v) for v in values):
+            raise MaterialFileError(f"non-finite oscillator value in {values}")
         if self.plasma_sq < 0:
             raise MaterialFileError(f"negative oscillator strength {self.plasma_sq}")
         if self.resonance_sq <= 0:
@@ -119,8 +122,9 @@ class SheetModel:
     eta: float
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError(f"sheet conductivity must be >= 0, got {self.eta}")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("sheet conductivity must be finite and >= 0, "
+                             f"got {self.eta}")
 
 
 def graphene_sheet() -> SheetModel:

@@ -39,7 +39,6 @@ from .constants import CONSTANTS
 from .optics import (
     DEFAULT_POLARIZABILITY,
     DielectricModel,
-    Polarizability,
     PorousSpec,
     SheetModel,
     bruggeman_mix,
@@ -275,6 +274,7 @@ _NEGLIGIBLE = 1e-11    # a tail decade below this share of the total ends it
 # with their error estimates, which QuadratureError reports.
 _MAX_ROUNDS = 40
 _MAX_PANELS = 1024
+_TARGET_REL = 1e-6     # relative accuracy that cp_potential_point must reach
 _BLOCK_PAIRS = 8192    # (xi, kappa) pairs per kernel block
 _LN10 = math.log(10.0)
 
@@ -319,9 +319,7 @@ def _gauss_kronrod(f, lo, hi, log):
 # potential at a point
 
 
-def cp_potential_point(mirror: MirrorSpec, z_au: float,
-                       alpha: Polarizability = DEFAULT_POLARIZABILITY,
-                       target_rel: float = 1e-6) -> float:
+def cp_potential_point(mirror: MirrorSpec, z_au: float) -> float:
     """CP potential V(z) in Hartree at distance z (a0) from the mirror.
 
     The xi integral is split into panels: [0, lo] in xi, then decades in
@@ -333,11 +331,12 @@ def cp_potential_point(mirror: MirrorSpec, z_au: float,
     a scale, a = 2 xi z / c >= 30 at hi, so the tail is damped by
     e^{-a} <= 1e-13: its decades are summed until one adds less than
     1e-11 of the total.  Raises QuadratureError with the achieved error
-    estimate (the summed |K21 - G10|) if the target relative accuracy
-    cannot be met.
+    estimate (the summed |K21 - G10|) if the relative accuracy _TARGET_REL
+    = 1e-6 cannot be met.  The atom is DEFAULT_POLARIZABILITY.
     """
     if not 0 < z_au < math.inf:
         raise ValueError(f"distance must be positive and finite, got {z_au}")
+    alpha = DEFAULT_POLARIZABILITY
 
     def integrand(xi):
         a = 2.0 * xi * z_au / _C
@@ -366,34 +365,34 @@ def cp_potential_point(mirror: MirrorSpec, z_au: float,
         total += tail
         err += e
         s_tail += _LN10
-    if not math.isfinite(total) or (total != 0 and err / abs(total) > target_rel):
+    if not math.isfinite(total) or (total != 0 and err / abs(total) > _TARGET_REL):
         raise QuadratureError(
             f"xi quadrature at z = {z_au:g} a0 achieved relative error "
-            f"{err / abs(total) if total else math.inf:.2e} > {target_rel:g}"
+            f"{err / abs(total) if total else math.inf:.2e} > {_TARGET_REL:g}"
         )
     return -total / (2.0 * math.pi * _C**3)
 
 
-def retarded_coefficient(alpha: Polarizability = DEFAULT_POLARIZABILITY) -> float:
+def retarded_coefficient() -> float:
     """C4* = 3 c alpha(0) / (8 pi), the perfect-conductor retarded constant."""
-    return 3.0 * _C * alpha.static / (8.0 * math.pi)
+    return 3.0 * _C * DEFAULT_POLARIZABILITY.static / (8.0 * math.pi)
 
 
-def retarded_reference(z_au, alpha: Polarizability = DEFAULT_POLARIZABILITY):
+def retarded_reference(z_au):
     """V*(z) = -C4*/z^4, the reference used for potential ratio plots."""
     z = np.asarray(z_au, dtype=float)
-    v = -retarded_coefficient(alpha) / z**4
+    v = -retarded_coefficient() / z**4
     return v if v.ndim else float(v)
 
 
-def vdw_coefficient_integral(mirror: MirrorSpec,
-                             alpha: Polarizability = DEFAULT_POLARIZABILITY) -> float:
+def vdw_coefficient_integral(mirror: MirrorSpec) -> float:
     """Closed-form C3 = (1/4pi) Int alpha(i xi) (eps-1)/(eps+1) dxi.
 
     Independent anchor for the small-z limit of the quadrature (the factor
     (eps-1)/(eps+1) is 1 for a perfect conductor and the kappa -> inf limit
     of r_TM otherwise).
     """
+    alpha = DEFAULT_POLARIZABILITY
     if mirror.kind == "perfect_conductor":
         return alpha.integral / (4.0 * math.pi)
 
@@ -486,8 +485,6 @@ class PotentialTable:
     """
 
     def __init__(self, z_au, v_au, label: str = "",
-                 mirror: MirrorSpec | None = None,
-                 alpha: Polarizability = DEFAULT_POLARIZABILITY,
                  require_asymptotics: bool = False):
         z = np.asarray(z_au, dtype=float)
         v = np.asarray(v_au, dtype=float)
@@ -497,9 +494,7 @@ class PotentialTable:
             raise ValueError("z grid must be positive and strictly increasing")
         self.z = z
         self.V = v
-        self.label = label or (mirror.label if mirror else "custom")
-        self.mirror = mirror
-        self.alpha = alpha
+        self.label = label or "custom"
         self.is_null = bool(np.all(v == 0.0))
         if not self.is_null:
             if np.any(v >= 0):
@@ -590,12 +585,6 @@ class PotentialTable:
         vpp = v * (wp * wp + wpp - wp) / (z * z)
         return v, vp, vpp
 
-    def local_exponent(self, z_au):
-        """-d ln|V| / d ln z from the interpolant."""
-        if self.is_null:
-            raise ValueError("local exponent undefined for the null table")
-        return -self._spline(np.log(z_au), 1)
-
     # -- convenience -------------------------------------------------------
 
     @property
@@ -621,13 +610,7 @@ class PotentialTable:
     def ratio_to_retarded(self, z_au=None):
         """V / V* with V*(z) = -C4*/z^4 (perfect-conductor retarded limit)."""
         z = self.z if z_au is None else np.asarray(z_au, dtype=float)
-        return self.potential(z) / retarded_reference(z, self.alpha)
-
-    def to_csv(self, path, include_ratio: bool = False,
-               timestamp: bool = True) -> None:
-        from .reporting import potential_table_csv  # local import: no cycle
-        potential_table_csv(self, path, include_ratio=include_ratio,
-                            timestamp=timestamp)
+        return self.potential(z) / retarded_reference(z)
 
     @classmethod
     def from_power_law(cls, coefficient: float, exponent: float,
@@ -647,9 +630,7 @@ class PotentialTable:
 
 def build_potential_table(mirror: MirrorSpec,
                           z_lo: float = 0.1, z_hi: float = 1e7,
-                          n_points: int = 400,
-                          alpha: Polarizability = DEFAULT_POLARIZABILITY,
-                          target_rel: float = 1e-6) -> PotentialTable:
+                          n_points: int = 400) -> PotentialTable:
     """Tabulate V(z) on a log grid and fit the asymptotic coefficients."""
     if not 0 < z_lo < z_hi < math.inf:
         raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")
@@ -659,11 +640,10 @@ def build_potential_table(mirror: MirrorSpec,
     v = np.empty_like(z)
     for i, zi in enumerate(z):
         try:
-            v[i] = cp_potential_point(mirror, zi, alpha, target_rel)
+            v[i] = cp_potential_point(mirror, zi)
         except QuadratureError as exc:
             raise QuadratureError(f"{mirror.label} at z = {zi:g} a0: {exc}") from exc
-    return PotentialTable(z, v, mirror=mirror, alpha=alpha,
-                          require_asymptotics=True)
+    return PotentialTable(z, v, label=mirror.label, require_asymptotics=True)
 
 
 # Grid wide enough that the WKB badlands function falls below 1e-8 on both
@@ -674,8 +654,6 @@ SOLVER_POINTS = 480
 
 
 def build_solver_table(mirror: MirrorSpec,
-                       alpha: Polarizability = DEFAULT_POLARIZABILITY,
                        n_points: int = SOLVER_POINTS) -> PotentialTable:
     """Potential table on the extended grid used for reflection solves."""
-    return build_potential_table(mirror, SOLVER_Z_LO, SOLVER_Z_HI,
-                                 n_points, alpha)
+    return build_potential_table(mirror, SOLVER_Z_LO, SOLVER_Z_HI, n_points)

@@ -16,11 +16,11 @@ The WKB waves are exact wherever the badlands function
 
     Q = hbar^2 [ p''/p - (3/2)(p'/p)^2 ] / (2 p^2)
 
-vanishes; integration starts and stops where |Q| is below a tolerance
-(default 1e-8), which for CP potentials happens both near the surface and
-far away.  Attractive potentials have no classical turning point, so no
-tunneling machinery is needed; the gravity field itself is not part of the
-solver potential (E is the fixed incident energy from the free fall).
+vanishes; integration starts and stops where |Q| is below _EDGE_TOL =
+1e-8, which for CP potentials happens both near the surface and far away.
+Attractive potentials have no classical turning point, so no tunneling
+machinery is needed; the gravity field itself is not part of the solver
+potential (E is the fixed incident energy from the free fall).
 """
 
 from __future__ import annotations
@@ -35,6 +35,16 @@ from .constants import CONSTANTS
 from .potential import PotentialTable
 
 _M = CONSTANTS.mass_au
+
+# tolerances and step limits of the amplitude solver
+_EDGE_TOL = 1e-8          # |Q| defining the WKB-exact endpoints
+_R_TOL = 1e-4             # r convergence over the last decade of z
+_RK_RTOL = 1e-7
+_RK_ATOL = 1e-10
+_FLUX_TOL = 1e-6          # allowed drift of |c-|^2 - |c+|^2
+_PHASE_STEP_FRAC = 0.5    # max step as fraction of pi hbar / p
+_Z_STEP_FRAC = 0.2        # max step as fraction of z
+_MAX_STEPS = 5_000_000
 
 
 class SolveError(RuntimeError):
@@ -54,26 +64,24 @@ class BadlandsProfile:
     energy_au: float
 
 
-def badlands_q(table: PotentialTable, energy_au: float, z_au,
-               mass_au: float = _M):
+def badlands_q(table: PotentialTable, energy_au: float, z_au):
     """Q(z) evaluated from analytic derivatives of the table interpolant."""
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
     z = np.asarray(z_au, dtype=float)
     v, vp, vpp = table.derivatives(z)
-    p_sq = 2.0 * mass_au * (energy_au - v)
+    p_sq = 2.0 * _M * (energy_au - v)
     p = np.sqrt(p_sq)
-    dp = -mass_au * vp / p
-    d2p = -mass_au * vpp / p - mass_au**2 * vp * vp / (p * p_sq)
+    dp = -_M * vp / p
+    d2p = -_M * vpp / p - _M**2 * vp * vp / (p * p_sq)
     schwarzian = d2p / p - 1.5 * (dp / p) ** 2
     q = schwarzian / (2.0 * p_sq)
     return q if q.ndim else float(q)
 
 
-def badlands_profile(table: PotentialTable, energy_au: float,
-                     mass_au: float = _M) -> BadlandsProfile:
+def badlands_profile(table: PotentialTable, energy_au: float) -> BadlandsProfile:
     """Q sampled on the table grid, with its peak location and height."""
-    q = badlands_q(table, energy_au, table.z, mass_au)
+    q = badlands_q(table, energy_au, table.z)
     i = int(np.argmax(np.abs(q)))
     return BadlandsProfile(z=table.z.copy(), q=q, peak_z=float(table.z[i]),
                            peak_q=float(q[i]), energy_au=energy_au)
@@ -85,17 +93,11 @@ def badlands_profile(table: PotentialTable, energy_au: float,
 
 @dataclass(frozen=True)
 class SolveOptions:
-    edge_tol: float = 1e-8        # |Q| defining the WKB-exact endpoints
-    r_tol: float = 1e-4           # r convergence over the last decade of z
-    rk_rtol: float = 1e-7
-    rk_atol: float = 1e-10
-    flux_tol: float = 1e-6        # allowed drift of |c-|^2 - |c+|^2
-    phase_step_frac: float = 0.5  # max step as fraction of pi hbar / p
-    z_step_frac: float = 0.2      # max step as fraction of z
+    """Probes of the solve's invariants: |r| must not depend on any of them."""
+
     z_start: float | None = None  # override the Q-selected start
-    z_end_min: float | None = None
-    phase_origin: float = 0.0     # phi at z_start; |r| must not depend on it
-    max_steps: int = 5_000_000
+    z_end_min: float | None = None  # override the Q-selected earliest end
+    phase_origin: float = 0.0     # phi at z_start
 
 
 @dataclass
@@ -115,29 +117,28 @@ class ReflectionResult:
         return self.energy_au * CONSTANTS.hartree_neV
 
 
-def _wkb_bounds(table: PotentialTable, energy_au: float, opts: SolveOptions,
-                mass_au: float) -> tuple[float, float]:
-    """Endpoints where WKB is exact: |Q| below edge_tol on both flanks.
+def _wkb_bounds(table: PotentialTable, energy_au: float) -> tuple[float, float]:
+    """Endpoints where WKB is exact: |Q| below _EDGE_TOL on both flanks.
 
     Uses prefix/suffix running maxima of |Q| so an accidental zero crossing
     inside the badlands cannot be mistaken for the WKB-exact region.
     """
-    q = np.abs(badlands_q(table, energy_au, table.z, mass_au))
+    q = np.abs(badlands_q(table, energy_au, table.z))
     i_peak = int(np.argmax(q))
-    prefix_ok = np.maximum.accumulate(q) <= opts.edge_tol
+    prefix_ok = np.maximum.accumulate(q) <= _EDGE_TOL
     start_candidates = np.nonzero(prefix_ok[: i_peak + 1])[0]
     if start_candidates.size == 0:
         raise SolveError(
             f"no WKB-exact region below the badlands peak: |Q| >= "
-            f"{q[0]:.2e} at the near edge of the table (need {opts.edge_tol:g})"
+            f"{q[0]:.2e} at the near edge of the table (need {_EDGE_TOL:g})"
         )
-    suffix_ok = (np.maximum.accumulate(q[::-1]) <= opts.edge_tol)[::-1]
+    suffix_ok = (np.maximum.accumulate(q[::-1]) <= _EDGE_TOL)[::-1]
     end_candidates = np.nonzero(suffix_ok)[0]
     end_candidates = end_candidates[end_candidates > i_peak]
     if end_candidates.size == 0:
         raise SolveError(
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
-            f"{q[-1]:.2e} at the far edge of the table (need {opts.edge_tol:g})"
+            f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
     return float(table.z[start_candidates[-1]]), float(table.z[end_candidates[0]])
 
@@ -159,15 +160,14 @@ _CHECKPOINT_RATIO = 10.0 ** 0.125
 
 
 def solve_reflection(table: PotentialTable, energy_au: float,
-                     opts: SolveOptions | None = None,
-                     mass_au: float = _M) -> ReflectionResult:
+                     opts: SolveOptions | None = None) -> ReflectionResult:
     """Integrate the coupled amplitude equations outward and return r.
 
     Starts from the near-surface WKB-exact point in the absorbing state
     (purely incoming flux, the finite-z form of c+(0) = 0; see the launch
     comment below), advances phi by the same embedded quadrature as the
-    amplitudes, and stops once |Q| < edge_tol and r has stopped changing
-    (relative change below r_tol across the trailing decade of z).
+    amplitudes, and stops once |Q| < _EDGE_TOL and r has stopped changing
+    (relative change below _R_TOL across the trailing decade of z).
     """
     opts = opts or SolveOptions()
     if not 0 < energy_au < math.inf:
@@ -178,7 +178,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
                                 z_end=table.z_max, flux_drift=0.0,
                                 steps=0, rejected=0)
 
-    z_start, z_end_min = _wkb_bounds(table, energy_au, opts, mass_au)
+    z_start, z_end_min = _wkb_bounds(table, energy_au)
     if opts.z_start is not None:
         if not table.z_min <= opts.z_start < table.z_max:
             raise SolveError(f"z_start override {opts.z_start:g} outside table")
@@ -187,13 +187,15 @@ def solve_reflection(table: PotentialTable, energy_au: float,
         z_end_min = opts.z_end_min
     z_hard_end = table.z_max
 
-    two_m = 2.0 * mass_au
+    # constants bound to locals: rhs and max_step are the hot loop
+    mass = _M
+    two_m = 2.0 * mass
     deriv = table.derivatives_scalar
 
     def rhs(z: float, cp: complex, cm: complex, phi: float):
         v, vp, _ = deriv(z)
         p = math.sqrt(two_m * (energy_au - v))
-        g = -mass_au * vp / (2.0 * p * p)
+        g = -mass * vp / (2.0 * p * p)
         e = cmath.exp(-2j * phi)
         return g * e * cm, g * e.conjugate() * cp, p
 
@@ -202,22 +204,24 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     # gauge (psi' = i p (c+ e^{i phi} - c- e^{-i phi})/(hbar sqrt(p))) it is
     # not c+ = 0 but c+ = (i beta/2) e^{-2i phi} c-, with beta = hbar p'/2p^2;
     # c+ -> 0 as z_start -> 0, recovering full absorption at the surface.
-    # The residual launch error is O(Q(z_start)) ~ edge_tol.
+    # The residual launch error is O(Q(z_start)) ~ _EDGE_TOL.
     phi = opts.phase_origin
     z = z_start
     v0, vp0, _ = deriv(z)
     p0 = math.sqrt(two_m * (energy_au - v0))
-    beta0 = -mass_au * vp0 / (2.0 * p0**3)
+    beta0 = -mass * vp0 / (2.0 * p0**3)
     cp = 0.5j * beta0 * cmath.exp(-2j * phi)
     cm = 1.0 - 0.5j * beta0
 
+    phase_step_frac, z_step_frac = _PHASE_STEP_FRAC, _Z_STEP_FRAC
+
     def max_step(zc: float, pc: float) -> float:
-        return min(opts.phase_step_frac * math.pi / pc,
-                   opts.z_step_frac * zc,
+        return min(phase_step_frac * math.pi / pc,
+                   z_step_frac * zc,
                    z_hard_end - zc)
 
     h = 0.01 * max_step(z, p0)
-    atol, rtol = opts.rk_atol, opts.rk_rtol
+    atol, rtol = _RK_ATOL, _RK_RTOL
     flux_drift = 0.0
     steps = rejected = 0
     next_checkpoint = z_start * _CHECKPOINT_RATIO
@@ -225,7 +229,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     converged = False
 
     while True:
-        if steps + rejected > opts.max_steps:
+        if steps + rejected > _MAX_STEPS:
             raise SolveError(f"step budget exceeded at z = {z:g}")
         # Cash-Karp stages
         k1 = rhs(z, cp, cm, phi)
@@ -280,7 +284,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
                     if decade:
                         ref = max(abs(r_now), 1e-12)
                         dev = max(abs(rv - r_now) for rv in (recent + decade[-1:]))
-                        if dev <= opts.r_tol * ref:
+                        if dev <= _R_TOL * ref:
                             converged = True
                             break
             if z >= z_hard_end:
@@ -294,12 +298,12 @@ def solve_reflection(table: PotentialTable, energy_au: float,
 
     if not converged:
         raise SolveError(
-            f"r did not converge to {opts.r_tol:g} before the table end "
+            f"r did not converge to {_R_TOL:g} before the table end "
             f"(z = {z:g}); extend the grid"
         )
-    if flux_drift > opts.flux_tol:
+    if flux_drift > _FLUX_TOL:
         raise SolveError(
-            f"flux drift {flux_drift:.2e} exceeds {opts.flux_tol:g}: "
+            f"flux drift {flux_drift:.2e} exceeds {_FLUX_TOL:g}: "
             f"step control failure"
         )
     r = (cp / cm) * cmath.exp(2j * phi)  # phase reference z0 = z_end
@@ -323,13 +327,11 @@ class SweepPoint:
 
 
 def reflection_sweep(table: PotentialTable,
-                     energies_au=None, heights_m=None,
-                     opts: SolveOptions | None = None,
-                     mass_au: float = _M) -> list[SweepPoint]:
+                     energies_au=None, heights_m=None) -> list[SweepPoint]:
     """Solve per energy (or free-fall height), in input order.
 
     Per-point failures are recorded without aborting the sweep.  Results are
-    deterministic functions of (table, energy, opts), independent of the
+    deterministic functions of (table, energy), independent of the
     order in which points are run.
     """
     if (energies_au is None) == (heights_m is None):
@@ -341,7 +343,7 @@ def reflection_sweep(table: PotentialTable,
     points: list[SweepPoint] = []
     for energy, height in pairs:
         try:
-            res = solve_reflection(table, energy, opts, mass_au)
+            res = solve_reflection(table, energy)
             points.append(SweepPoint(energy, height, res))
         except (SolveError, ValueError) as exc:
             points.append(SweepPoint(energy, height, None, error=str(exc)))

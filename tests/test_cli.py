@@ -54,8 +54,8 @@ def test_zero_height_rejected(run_cli, tmp_path):
     ["potential", "--mirror", "silica", "--slab-nm", "inf"],
 ])
 def test_non_finite_grid_or_thickness_exits_2(run_cli, tmp_path, argv):
-    # a zero response scale gives the xi panel loop of the quadrature no end;
-    # the timeout turns such a hang into a failure
+    # both inputs once made the CLI hang; the timeout turns a return of
+    # that hang into a failure
     cp = run_cli(*argv, cwd=tmp_path, timeout=60)
     assert cp.returncode == 2
     assert "error:" in cp.stderr
@@ -72,6 +72,16 @@ def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, argv, message):
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_material_file_exits_2(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "bad"
+    path.write_text("name = bad\nosc = nan, 0.5, 0.1\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["potential", "--mirror", str(path), "--points", "16"]
+    assert cli.main(argv) == 2
+    assert f"{path}:2: non-finite oscillator value" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("argv", [

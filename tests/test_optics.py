@@ -202,6 +202,12 @@ def test_sheet_rejects_negative_eta():
         SheetModel(-0.1)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+def test_sheet_rejects_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="finite"):
+        SheetModel(eta)
+
+
 # -- Bruggeman ---------------------------------------------------------------
 
 
@@ -280,6 +286,17 @@ def test_negative_resonance_rejected_with_line_number(tmp_path):
     path = tmp_path / "bad"
     path.write_text("name = bad\nosc = 1.0, -2.0, 0.0\n")
     with pytest.raises(MaterialFileError, match=":2:"):
+        load_material_file(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_oscillator_rejected_with_line_number(tmp_path, bad, slot):
+    values = ["1.0", "0.5", "0.1"]
+    values[slot] = bad
+    path = tmp_path / "bad"
+    path.write_text(f"name = bad\nosc = {', '.join(values)}\n")
+    with pytest.raises(MaterialFileError, match=":2: non-finite"):
         load_material_file(path)
 
 

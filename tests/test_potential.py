@@ -17,6 +17,7 @@ from qrmirror.potential import (
     retarded_reference,
     vdw_coefficient_integral,
 )
+from qrmirror.reporting import potential_table_csv
 
 PC = MirrorSpec.perfect_conductor()
 
@@ -135,10 +136,12 @@ def test_pc_potential_matches_scalar_oracle_over_solver_range():
             _pc_potential_oracle(z), rel=1e-10, abs=0)
 
 
-def test_unreachable_accuracy_target_reports_estimate():
+def test_unreachable_accuracy_target_reports_estimate(monkeypatch):
+    from qrmirror import potential
     from qrmirror.potential import QuadratureError
+    monkeypatch.setattr(potential, "_TARGET_REL", 1e-16)
     with pytest.raises(QuadratureError, match="relative error"):
-        cp_potential_point(PC, 1.0, target_rel=1e-16)
+        cp_potential_point(PC, 1.0)
 
 
 def test_tail_and_refinement_limits_leave_the_value(monkeypatch):
@@ -152,11 +155,14 @@ def test_tail_and_refinement_limits_leave_the_value(monkeypatch):
     assert cp_potential_point(PC, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
 
 
-def test_non_finite_integrand_raises():
+def test_non_finite_integrand_raises(monkeypatch):
+    from qrmirror import potential
     from qrmirror.optics import Polarizability
     from qrmirror.potential import QuadratureError
+    monkeypatch.setattr(potential, "DEFAULT_POLARIZABILITY",
+                        Polarizability(((math.nan, 0.4),)))
     with pytest.raises(QuadratureError, match="relative error"):
-        cp_potential_point(PC, 1.0, Polarizability(((math.nan, 0.4),)))
+        cp_potential_point(PC, 1.0)
 
 
 def test_pc_agrees_with_huge_epsilon_bulk():
@@ -252,7 +258,8 @@ def test_slab_far_exponent_is_five(slab_table):
     d_au = 5.0 / CONSTANTS.bohr_nm
     lam = load_builtin("silica").wavelength_au
     z_test = 30.0 * max(d_au, lam)
-    assert abs(slab_table.local_exponent(z_test) - 5.0) < 0.05
+    v, vp, _ = slab_table.derivatives(z_test)
+    assert abs(-z_test * vp / v - 5.0) < 0.05
     assert slab_table.c5 is not None
     assert slab_table.c4 is None
 
@@ -312,7 +319,8 @@ def test_null_table():
 
 def test_csv_export_columns(pc_default_table, tmp_path):
     out = tmp_path / "table.csv"
-    pc_default_table.to_csv(out, include_ratio=False, timestamp=False)
+    potential_table_csv(pc_default_table, out, include_ratio=False,
+                        timestamp=False)
     lines = out.read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == "z_a0,z_nm,V_Eh,V_neV"
