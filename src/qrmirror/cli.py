@@ -30,6 +30,7 @@ from .optics import (
 from .potential import (
     AsymptoticsError,
     MirrorSpec,
+    PotentialTable,
     QuadratureError,
     SOLVER_POINTS,
     SOLVER_Z_HI,
@@ -159,16 +160,17 @@ def _mirror_slug(mirror: MirrorSpec) -> str:
             .replace(".", "p"))
 
 
-def _grid(args, z_lo: float, z_hi: float, n: int) -> tuple[float, float, int]:
-    """(z-min, z-max, points) from the flags/config, else the defaults."""
-    z_lo = _effective(args, "z_min_a0", z_lo)
-    z_hi = _effective(args, "z_max_a0", z_hi)
-    n = _effective(args, "points", n)
+def _table(args, mirror: MirrorSpec) -> PotentialTable:
+    """The mirror's table on the grid of the flags/config, else the solver
+    grid."""
+    z_lo = _effective(args, "z_min_a0", SOLVER_Z_LO)
+    z_hi = _effective(args, "z_max_a0", SOLVER_Z_HI)
+    n = _effective(args, "points", SOLVER_POINTS)
     if not 0 < z_lo < z_hi < math.inf:
         raise UsageError("need 0 < z-min < z-max < inf")
     if n < 16:
         raise UsageError("need at least 16 grid points")
-    return z_lo, z_hi, n
+    return build_potential_table(mirror, z_lo, z_hi, n)
 
 
 def _emit(args, stem: str, write_csv, make_json, *data, **options) -> None:
@@ -217,21 +219,16 @@ def _cmd_material(args) -> int:
 
 def _cmd_potential(args) -> int:
     mirror = _resolve_mirror(args)
-    table = build_potential_table(mirror, *_grid(args, 0.1, 1e7, 400))
+    table = _table(args, mirror)
     _emit(args, f"potential_{_mirror_slug(mirror)}", reporting.potential_table_csv,
           reporting.potential_table_json, table, include_ratio=True)
     return 0
 
 
-def _table_for_solving(args, mirror: MirrorSpec):
-    return build_potential_table(
-        mirror, *_grid(args, SOLVER_Z_LO, SOLVER_Z_HI, SOLVER_POINTS))
-
-
 def _cmd_reflect(args) -> int:
     mirror = _resolve_mirror(args)
     heights = _heights_m(args)
-    table = _table_for_solving(args, mirror)
+    table = _table(args, mirror)
     points = reflection_sweep(table, heights_m=heights)
     _emit(args, f"reflect_{_mirror_slug(mirror)}", reporting.sweep_csv,
           reporting.sweep_json, points)
@@ -241,7 +238,7 @@ def _cmd_reflect(args) -> int:
 def _cmd_badlands(args) -> int:
     mirror = _resolve_mirror(args)
     heights = _heights_m(args)
-    table = _table_for_solving(args, mirror)
+    table = _table(args, mirror)
     profiles = {}
     peaks = {}
     for h in heights:
@@ -256,7 +253,7 @@ def _cmd_badlands(args) -> int:
 
 def _cmd_lifetime(args) -> int:
     mirror = _resolve_mirror(args)
-    table = _table_for_solving(args, mirror)
+    table = _table(args, mirror)
     sl = scattering_length(table)
     lt = gqs_lifetime(sl, mirror_label=mirror.label)
     porosity = mirror.porous_spec.porosity if mirror.kind == "porous" else None
@@ -284,20 +281,30 @@ def load_tolerances(path=_TOLERANCES_PATH) -> dict:
     return refs
 
 
+def _cell(key: str, computed, reference, tolerance: str, status: str,
+          note: str = "") -> dict:
+    """One row of a ``reproduce`` bundle; key is 'target.row.quantity'."""
+    target, row, quantity = key.split(".")
+    return {
+        "target": target, "row": row, "quantity": quantity,
+        "computed": computed, "reference": reference, "tolerance": tolerance,
+        "status": status, "note": note,
+    }
+
+
 def check_against_reference(key: str, computed: float, refs: dict) -> dict:
     ref, kind, tol = refs[key]
     if kind == "rel":
         ok = abs(computed - ref) <= tol * abs(ref)
-        tol_str = f"rel {tol:g}"
     else:
         ok = abs(computed - ref) <= tol
-        tol_str = f"abs {tol:g}"
-    target, row, quantity = key.split(".")
-    return {
-        "target": target, "row": row, "quantity": quantity,
-        "computed": computed, "reference": ref, "tolerance": tol_str,
-        "status": "pass" if ok else "fail", "note": "",
-    }
+    return _cell(key, computed, ref, f"{kind} {tol:g}", "pass" if ok else "fail")
+
+
+def _check_relation(key: str, holds: bool, relation: str, note: str) -> dict:
+    """Cell of a structural check: ``relation`` holds, or is 'violated'."""
+    return _cell(key, relation if holds else "violated", relation, "",
+                 "pass" if holds else "fail", note)
 
 
 def _table2_mirrors() -> list[tuple[str, MirrorSpec, bool]]:
@@ -337,7 +344,7 @@ def _registry_rows(names) -> dict[str, MirrorSpec]:
 def _reproduce_table1(refs) -> list[dict]:
     rows = []
     for name, mirror in _registry_rows(_TABLE1_ROWS).items():
-        table = build_potential_table(mirror, 0.1, 1e7, 400)
+        table = build_solver_table(mirror)
         rows.append(check_against_reference(f"table1.{name}.c3", table.c3, refs))
         rows.append(check_against_reference(f"table1.{name}.c4", table.c4, refs))
     return rows
@@ -356,12 +363,8 @@ def _reproduce_table2(refs) -> list[dict]:
                 cell["note"] = "model-substituted"
             rows.append(cell)
         else:
-            rows.append({
-                "target": "table2", "row": name, "quantity": "refl",
-                "computed": None, "reference": None, "tolerance": "",
-                "status": "n/a",
-                "note": "effective medium not valid at this energy",
-            })
+            rows.append(_cell(f"table2.{name}.refl", None, None, "", "n/a",
+                              "effective medium not valid at this energy"))
         lt = gqs_lifetime(scattering_length(table), mirror_label=mirror.label)
         rows.append(check_against_reference(f"table2.{name}.lifetime",
                                             lt.tau_s, refs))
@@ -377,12 +380,8 @@ def _reproduce_fig1(refs) -> list[dict]:
     v_si = np.abs(tables["silicon"].potential(z))
     v_sil = np.abs(tables["silica"].potential(z))
     ok_pot = bool(np.all(v_pc >= v_si) and np.all(v_si >= v_sil))
-    rows = [{
-        "target": "fig1", "row": "left", "quantity": "potential_ordering",
-        "computed": "PC>=Si>=silica" if ok_pot else "violated",
-        "reference": "PC>=Si>=silica", "tolerance": "",
-        "status": "pass" if ok_pot else "fail", "note": "at every z",
-    }]
+    rows = [_check_relation("fig1.left.potential_ordering", ok_pot,
+                            "PC>=Si>=silica", "at every z")]
     heights = [0.01, 0.03, 0.1, 0.3, 1.0]
     probs = {}
     for name in tables:
@@ -392,13 +391,8 @@ def _reproduce_fig1(refs) -> list[dict]:
         probs["perfect_conductor"][i] < probs["silicon"][i] < probs["silica"][i]
         for i in range(len(heights))
     )
-    rows.append({
-        "target": "fig1", "row": "right", "quantity": "reflection_ordering",
-        "computed": "PC<Si<silica" if ok_refl else "violated",
-        "reference": "PC<Si<silica", "tolerance": "",
-        "status": "pass" if ok_refl else "fail",
-        "note": f"heights_m={heights}",
-    })
+    rows.append(_check_relation("fig1.right.reflection_ordering", ok_refl,
+                                "PC<Si<silica", f"heights_m={heights}"))
     return rows
 
 
@@ -411,29 +405,17 @@ def _reproduce_fig2(refs) -> list[dict]:
     ok_left = (peaks10["perfect_conductor"].peak_z
                > peaks10["silicon"].peak_z
                > peaks10["silica"].peak_z)
-    rows = [{
-        "target": "fig2", "row": "left", "quantity": "peak_position_ordering",
-        "computed": "PC>Si>silica" if ok_left else "violated",
-        "reference": "PC>Si>silica", "tolerance": "",
-        "status": "pass" if ok_left else "fail", "note": "h=10cm",
-    }]
+    rows = [_check_relation("fig2.left.peak_position_ordering", ok_left,
+                            "PC>Si>silica", "h=10cm")]
     pc = tables["perfect_conductor"]
     peaks = [badlands_profile(pc, CONSTANTS.energy_au_from_height(h))
              for h in (0.10, 0.30, 0.50)]
     ok_height = peaks[0].peak_q > peaks[1].peak_q > peaks[2].peak_q
     ok_pos = peaks[0].peak_z > peaks[1].peak_z > peaks[2].peak_z
-    rows.append({
-        "target": "fig2", "row": "right", "quantity": "peak_height_vs_energy",
-        "computed": "decreasing" if ok_height else "violated",
-        "reference": "decreasing", "tolerance": "",
-        "status": "pass" if ok_height else "fail", "note": "h=10,30,50cm",
-    })
-    rows.append({
-        "target": "fig2", "row": "right", "quantity": "peak_position_vs_energy",
-        "computed": "toward surface" if ok_pos else "violated",
-        "reference": "toward surface", "tolerance": "",
-        "status": "pass" if ok_pos else "fail", "note": "h=10,30,50cm",
-    })
+    rows.append(_check_relation("fig2.right.peak_height_vs_energy", ok_height,
+                                "decreasing", "h=10,30,50cm"))
+    rows.append(_check_relation("fig2.right.peak_position_vs_energy", ok_pos,
+                                "toward surface", "h=10,30,50cm"))
     return rows
 
 

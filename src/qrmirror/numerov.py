@@ -65,6 +65,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     ppw = float(points_per_wavelength)
     k0 = float(wavevector(z_start))
     h = 2.0 * math.pi / (k0 * ppw)
+    if z_start + h >= z_end:
+        raise ValueError("integration window shorter than one step")
 
     # WKB seed for the incoming wave at the two leading points
     k2 = float(wavevector(z_start + h))
@@ -78,12 +80,17 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
 
     # piecewise-uniform grid, step doubling when the local wavelength allows;
     # each new segment re-uses two old points a spacing h_new = 2 h_old apart
-    # (indices -3 and -1 of the previous chunk).
+    # (indices -3 and -1 of the previous chunk).  A chunk may run up to two
+    # steps past z_end but never past the table: the march ends within one
+    # step of z_max when the window reaches it.
     while z_last < z_end:
         n_max = int(min(
             max(64, 4 * ppw),
             math.ceil((z_end - z_last) / h) + 1,
+            (table.z_max - z_last) // h,
         ))
+        if n_max < 1:
+            break
         z_nodes = z_last + h * np.arange(-1, n_max + 1)
         f = 1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)
         psi = np.empty(len(z_nodes), dtype=complex)

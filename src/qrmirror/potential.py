@@ -27,7 +27,6 @@ values (0.25 Eh a0^3 and 73.6 Eh a0^4).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -476,12 +475,18 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
 
 
 class PotentialTable:
-    """Log-spaced tabulation of V(z) with a log-log cubic interpolant.
+    """V(z) on a log-uniform grid, read through one log-log cubic spline.
 
-    The interpolant is differentiated analytically (the badlands function
-    needs two clean derivatives of V).  V < 0 and strictly increasing toward
-    zero for every physical mirror; the all-zero table is the free-space
-    degenerate case used by tests.
+    Grid: log-uniform (``np.geomspace``): steps of t = ln z equal within
+    1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
+    of a natural cubic spline of ln|V| against t, fitted once.  The scalar
+    path (``derivatives_scalar``, the solver's hot loop) and the array paths
+    take segment int((t - t0)/dt) clipped to [0, n-2] and run the same
+    Horner and chain-rule arithmetic; only ``math`` and numpy log/exp round
+    differently.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
+    raises ValueError; nothing is extrapolated.  V < 0 and strictly
+    increasing toward zero for every physical mirror; the all-zero table is
+    the free-space degenerate case used by tests.
     """
 
     def __init__(self, z_au, v_au, label: str = "",
@@ -492,29 +497,26 @@ class PotentialTable:
             raise ValueError("need matching 1-d z and V arrays, >= 4 points")
         if np.any(np.diff(z) <= 0) or z[0] <= 0:
             raise ValueError("z grid must be positive and strictly increasing")
+        t = np.log(z)
+        dt = np.diff(t)
+        if not np.all(np.abs(dt - dt[0]) < 1e-9 * dt[0]):
+            raise ValueError("z grid must be log-uniform (np.geomspace)")
         self.z = z
         self.V = v
         self.label = label or "custom"
         self.is_null = bool(np.all(v == 0.0))
+        self._t, self._t0, self._dt = t, float(t[0]), float(dt[0])
+        self._t_lo, self._t_hi = self._t0 - 1e-12, float(t[-1]) + 1e-12
+        self._last = z.size - 2     # index of the last spline segment
         if not self.is_null:
             if np.any(v >= 0):
                 raise ValueError("potential must be negative everywhere")
             if np.any(np.diff(v) <= 0):
                 raise ValueError("potential must increase strictly toward zero")
-            self._t = np.log(z)
-            self._spline = CubicSpline(self._t, np.log(-v), bc_type="natural")
-            self._knots = self._spline.x.tolist()
-            # plain-float copies for the scalar fast path (hot solver loop)
-            c = self._spline.c
-            self._c0 = c[0].tolist()
-            self._c1 = c[1].tolist()
-            self._c2 = c[2].tolist()
-            self._c3 = c[3].tolist()
-            dt = np.diff(self._t)
-            self._dt = float(dt[0])
-            self._uniform = bool(np.all(np.abs(dt - self._dt) < 1e-9 * self._dt))
-            self._t0 = float(self._t[0])
-            self._n_intervals = len(self._knots) - 1
+            self._c = CubicSpline(t, np.log(-v), bc_type="natural").c
+            # plain-float copies for the scalar hot loop
+            self._knots = t.tolist()
+            self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
         try:
             self.asymptotics = extract_asymptotics(self)
         except AsymptoticsError:
@@ -530,56 +532,60 @@ class PotentialTable:
 
     # -- interpolation -----------------------------------------------------
 
+    def _segments(self, z):
+        """(segment index, s = ln z - its knot) of each z, range-checked."""
+        t = np.log(z)
+        inside = (t >= self._t_lo) & (t <= self._t_hi)
+        if not inside.all():
+            raise ValueError(f"z = {z[~inside].flat[0]:g} outside table range")
+        i = ((t - self._t0) / self._dt).astype(np.intp)
+        i = np.minimum(np.maximum(i, 0), self._last)
+        return i, t - self._t[i]
+
     def potential(self, z_au):
         """Interpolated V(z) (Hartree); accepts scalars or arrays."""
+        z = np.asarray(z_au, dtype=float)
+        if not z.ndim:
+            return self.derivatives_scalar(float(z))[0]
+        i, s = self._segments(z)
         if self.is_null:
-            out = np.zeros_like(np.asarray(z_au, dtype=float))
-            return out if out.ndim else 0.0
-        t = np.log(z_au)
-        v = -np.exp(self._spline(t))
-        return v if np.ndim(v) else float(v)
-
-    def _scalar_logv(self, z: float) -> tuple[float, float, float]:
-        """(w, w', w'') of w = ln|V| against t = ln z, scalar fast path."""
-        t = math.log(z)
-        knots = self._knots
-        if t < knots[0] - 1e-12 or t > knots[-1] + 1e-12:
-            raise ValueError(f"z = {z:g} outside table range")
-        if self._uniform:
-            i = int((t - self._t0) / self._dt)
-        else:
-            i = bisect_right(knots, t) - 1
-        if i < 0:
-            i = 0
-        elif i > self._n_intervals - 1:
-            i = self._n_intervals - 1
-        s = t - knots[i]
-        c0, c1 = self._c0[i], self._c1[i]
-        w = ((c0 * s + c1) * s + self._c2[i]) * s + self._c3[i]
-        wp = (3.0 * c0 * s + 2.0 * c1) * s + self._c2[i]
-        wpp = 6.0 * c0 * s + 2.0 * c1
-        return w, wp, wpp
+            return np.zeros_like(z)
+        c0, c1, c2, c3 = self._c.take(i, axis=1)
+        return -np.exp(((c0 * s + c1) * s + c2) * s + c3)
 
     def derivatives_scalar(self, z: float) -> tuple[float, float, float]:
-        """(V, V', V'') at a single z, from the log-log interpolant."""
+        """(V, V', V'') at a single z: ``derivatives`` in plain floats."""
+        t = math.log(z)
+        if not self._t_lo <= t <= self._t_hi:
+            raise ValueError(f"z = {z:g} outside table range")
         if self.is_null:
             return 0.0, 0.0, 0.0
-        w, wp, wpp = self._scalar_logv(z)
+        i = int((t - self._t0) / self._dt)
+        if i < 0:
+            i = 0
+        elif i > self._last:
+            i = self._last
+        s = t - self._knots[i]
+        c0, c1, c2 = self._c0[i], self._c1[i], self._c2[i]
+        w = ((c0 * s + c1) * s + c2) * s + self._c3[i]
+        wp = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        wpp = 6.0 * c0 * s + 2.0 * c1
         v = -math.exp(w)
         vp = v * wp / z
         vpp = v * (wp * wp + wpp - wp) / (z * z)
         return v, vp, vpp
 
     def derivatives(self, z_au):
-        """(V, V', V'') on an array of z, from the log-log interpolant."""
+        """(V, V', V'') on an array of z, from the log-log spline."""
         z = np.asarray(z_au, dtype=float)
+        i, s = self._segments(z)
         if self.is_null:
             zero = np.zeros_like(z)
             return zero, zero.copy(), zero.copy()
-        t = np.log(z)
-        w = self._spline(t)
-        wp = self._spline(t, 1)
-        wpp = self._spline(t, 2)
+        c0, c1, c2, c3 = self._c.take(i, axis=1)
+        w = ((c0 * s + c1) * s + c2) * s + c3
+        wp = (3.0 * c0 * s + 2.0 * c1) * s + c2
+        wpp = 6.0 * c0 * s + 2.0 * c1
         v = -np.exp(w)
         vp = v * wp / z
         vpp = v * (wp * wp + wpp - wp) / (z * z)
@@ -607,10 +613,10 @@ class PotentialTable:
     def c5(self):
         return self.asymptotics.c5
 
-    def ratio_to_retarded(self, z_au=None):
-        """V / V* with V*(z) = -C4*/z^4 (perfect-conductor retarded limit)."""
-        z = self.z if z_au is None else np.asarray(z_au, dtype=float)
-        return self.potential(z) / retarded_reference(z)
+    def ratio_to_retarded(self):
+        """V / V* on the grid, V*(z) = -C4*/z^4 (perfect-conductor retarded
+        limit)."""
+        return self.potential(self.z) / retarded_reference(self.z)
 
     @classmethod
     def from_power_law(cls, coefficient: float, exponent: float,
@@ -628,9 +634,8 @@ class PotentialTable:
         return cls(z, np.zeros_like(z), label="free space")
 
 
-def build_potential_table(mirror: MirrorSpec,
-                          z_lo: float = 0.1, z_hi: float = 1e7,
-                          n_points: int = 400) -> PotentialTable:
+def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
+                          n_points: int) -> PotentialTable:
     """Tabulate V(z) on a log grid and fit the asymptotic coefficients."""
     if not 0 < z_lo < z_hi < math.inf:
         raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")

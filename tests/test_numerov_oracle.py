@@ -10,6 +10,7 @@ import pytest
 from qrmirror.constants import CONSTANTS
 from qrmirror.lifetimes import scattering_length
 from qrmirror.numerov import numerov_reflection
+from qrmirror.potential import PotentialTable
 from qrmirror.reflection import solve_reflection
 
 _M = CONSTANTS.mass_au
@@ -37,6 +38,19 @@ def test_oracle_agreement_perfect_conductor(pc_table):
 
 def test_oracle_agreement_silica(silica_table):
     _compare(silica_table, E30)
+
+
+def test_window_ending_at_the_table_end():
+    # a window up to z_max is allowed: the march must stop at the table end
+    # instead of reading V up to two steps beyond it
+    tab = PotentialTable.from_power_law(73.6, 4.0, 1e-2, 1e6, 200)
+    res = solve_reflection(tab, E30)
+    full = numerov_reflection(tab, E30, res.z_start, tab.z_max)
+    assert res.z_end < full.z_end <= tab.z_max
+    short = numerov_reflection(tab, E30, res.z_start, res.z_end)
+    assert full.r_magnitude == pytest.approx(short.r_magnitude, abs=1e-6)
+    with pytest.raises(ValueError, match="shorter than one step"):
+        numerov_reflection(tab, E30, tab.z_max * (1 - 1e-8), tab.z_max)
 
 
 def test_oracle_self_convergence(pure_c4_table):

@@ -24,7 +24,8 @@ PC = MirrorSpec.perfect_conductor()
 
 @pytest.fixture(scope="module")
 def pc_default_table():
-    """Perfect conductor on the default build grid [0.1, 1e7] x 400."""
+    """Perfect conductor on [0.1, 1e7] a0 x 400, coarser than the solver
+    grid."""
     return build_potential_table(PC, 0.1, 1e7, 400)
 
 
@@ -309,6 +310,16 @@ def test_table_rejects_bad_samples():
         PotentialTable(z, -np.linspace(1, 2, 16))  # |V| increasing
 
 
+def test_table_rejects_grid_that_is_not_log_uniform():
+    z = np.linspace(1.0, 100.0, 16)
+    with pytest.raises(ValueError, match="log-uniform"):
+        PotentialTable(z, -1.0 / z**4)
+    z = np.geomspace(1.0, 100.0, 16)
+    z[7] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="log-uniform"):
+        PotentialTable(z, -1.0 / z**4)
+
+
 def test_null_table():
     tab = PotentialTable.null()
     assert tab.is_null
@@ -330,3 +341,43 @@ def test_csv_export_columns(pc_default_table, tmp_path):
     z_a0, z_nm, v_eh, v_nev = map(float, first)
     assert z_nm == pytest.approx(z_a0 * CONSTANTS.bohr_nm, rel=1e-9)
     assert v_nev == pytest.approx(v_eh * CONSTANTS.hartree_neV, rel=1e-9)
+
+
+# -- one evaluator -----------------------------------------------------------
+
+
+def test_scalar_and_array_paths_agree(pc_table):
+    # V, V', V'' at every knot, every midpoint (in ln z) and 20k random z:
+    # the two paths run the same arithmetic, so only math vs numpy log/exp
+    # rounding may separate them
+    t = np.log(pc_table.z)
+    rng = np.random.default_rng(0)
+    z = np.concatenate([pc_table.z, np.exp(0.5 * (t[1:] + t[:-1])),
+                        np.exp(rng.uniform(t[0], t[-1], 20_000))])
+    array = pc_table.derivatives(z)
+    scalar = np.array([pc_table.derivatives_scalar(zi) for zi in z]).T
+    for a, s in zip(array, scalar):
+        assert np.max(np.abs(s - a) / np.abs(a)) <= 1e-15
+    assert np.array_equal(pc_table.potential(z), array[0])
+    assert pc_table.potential(z[-1]) == scalar[0][-1]
+
+
+@pytest.mark.parametrize("make", [lambda: PotentialTable.from_power_law(
+    0.25, 3.0, 1e-8, 1e7, 480), PotentialTable.null], ids=["c3", "null"])
+def test_both_paths_raise_outside_the_table(make):
+    tab = make()
+    for z in (tab.z_min * (1 - 1e-9), tab.z_max * (1 + 1e-9), 1e-9, 1e8,
+              math.nan):
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.derivatives_scalar(z)
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.potential(z)
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.potential(np.array([tab.z_min, z]))
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.derivatives(np.array([z, tab.z_max]))
+    # the ends themselves are inside
+    ends = np.array([tab.z_min, tab.z_max])
+    assert np.array_equal(tab.potential(ends), tab.derivatives(ends)[0])
+    assert np.allclose([tab.derivatives_scalar(z)[0] for z in ends],
+                       tab.potential(ends), rtol=1e-15, atol=0)
