@@ -17,7 +17,7 @@ import numpy as np
 
 from . import reporting
 from .constants import CONSTANTS
-from .lifetimes import ExtractionError, gqs_lifetime, scattering_length
+from .lifetimes import ExtractionError, lifetime_for_table
 from .optics import (
     MaterialFileError,
     builtin_material_names,
@@ -173,15 +173,15 @@ def _table(args, mirror: MirrorSpec) -> PotentialTable:
     return build_potential_table(mirror, z_lo, z_hi, n)
 
 
-def _emit(args, stem: str, write_csv, make_json, *data, **options) -> None:
+def _emit(args, stem: str, write_csv, make_json, *data) -> None:
     """Write ``data`` as CSV or JSON (per --format) and report the path."""
     fmt = _fmt_kind(args)
     out = _out_path(args, f"{stem}.{fmt}")
     if fmt == "csv":
         stamp = not _effective(args, "no_timestamp", False)
-        write_csv(*data, out, timestamp=stamp, **options)
+        write_csv(*data, out, timestamp=stamp)
     else:
-        reporting.write_json(make_json(*data, **options), out)
+        reporting.write_json(make_json(*data), out)
     print(f"wrote {out}")
 
 
@@ -221,7 +221,7 @@ def _cmd_potential(args) -> int:
     mirror = _resolve_mirror(args)
     table = _table(args, mirror)
     _emit(args, f"potential_{_mirror_slug(mirror)}", reporting.potential_table_csv,
-          reporting.potential_table_json, table, include_ratio=True)
+          reporting.potential_table_json, table)
     return 0
 
 
@@ -254,10 +254,9 @@ def _cmd_badlands(args) -> int:
 def _cmd_lifetime(args) -> int:
     mirror = _resolve_mirror(args)
     table = _table(args, mirror)
-    sl = scattering_length(table)
-    lt = gqs_lifetime(sl, mirror_label=mirror.label)
+    lt = lifetime_for_table(table)
     porosity = mirror.porous_spec.porosity if mirror.kind == "porous" else None
-    rows = [(mirror.label, porosity, abs(sl.im_a_nm), lt.tau_s)]
+    rows = [(mirror.label, porosity, abs(lt.scattering.im_a_nm), lt.tau_s)]
     _emit(args, f"lifetime_{_mirror_slug(mirror)}", reporting.lifetime_csv,
           reporting.lifetime_json, rows)
     return 0
@@ -365,7 +364,7 @@ def _reproduce_table2(refs) -> list[dict]:
         else:
             rows.append(_cell(f"table2.{name}.refl", None, None, "", "n/a",
                               "effective medium not valid at this energy"))
-        lt = gqs_lifetime(scattering_length(table), mirror_label=mirror.label)
+        lt = lifetime_for_table(table)
         rows.append(check_against_reference(f"table2.{name}.lifetime",
                                             lt.tau_s, refs))
     return rows

@@ -43,10 +43,6 @@ class ScatteringLength:
     linear_deviation: float              # relative spread of the estimates
 
     @property
-    def im_a_au(self) -> float:
-        return self.a.imag
-
-    @property
     def im_a_nm(self) -> float:
         return self.a.imag * CONSTANTS.bohr_nm
 

@@ -216,15 +216,11 @@ def bruggeman_mix(spec: PorousSpec, xi):
     return float(eps_eff)
 
 
-def load_material_file(path) -> DielectricModel:
-    """Parse a line-oriented material file into a DielectricModel.
-
-    Format: ``name = <string>``, then one ``osc = wp2, w02, gamma`` line per
-    oscillator (all in Hartree units); ``#`` starts a comment.  A file whose
-    oscillator list is empty describes vacuum.
-    """
+def _parse_material_file(path) -> tuple[str, DielectricModel]:
+    """(kind tag, model) of a material file; see ``load_material_file``."""
     path = Path(path)
     name = None
+    kind = "dielectric"
     oscillators: list[Oscillator] = []
     try:
         text = path.read_text()
@@ -246,6 +242,7 @@ def load_material_file(path) -> DielectricModel:
             # and no oscillators; the registry maps them to mirror variants.
             if value not in ("perfect_conductor", "dielectric"):
                 raise MaterialFileError(f"{path}:{lineno}: unknown kind {value!r}")
+            kind = value
         elif key == "osc":
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
@@ -264,18 +261,28 @@ def load_material_file(path) -> DielectricModel:
             oscillators.append(osc)
         else:
             raise MaterialFileError(f"{path}:{lineno}: unknown key {key!r}")
+        if kind == "perfect_conductor" and oscillators:
+            raise MaterialFileError(
+                f"{path}:{lineno}: a perfect_conductor file takes no osc lines")
     if name is None:
         raise MaterialFileError(f"{path}: missing 'name' entry")
-    return DielectricModel(name=name, oscillators=tuple(oscillators))
+    return kind, DielectricModel(name=name, oscillators=tuple(oscillators))
+
+
+def load_material_file(path) -> DielectricModel:
+    """Parse a line-oriented material file into a DielectricModel.
+
+    Format: ``name = <string>``, then one ``osc = wp2, w02, gamma`` line per
+    oscillator (all in Hartree units); ``#`` starts a comment.  A file whose
+    oscillator list is empty describes vacuum.  A ``kind = perfect_conductor``
+    file takes no ``osc`` lines.
+    """
+    return _parse_material_file(path)[1]
 
 
 def material_file_kind(path) -> str:
-    """Return the ``kind`` tag of a material file ('dielectric' default)."""
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line.lower().startswith("kind"):
-            return line.partition("=")[2].strip()
-    return "dielectric"
+    """The ``kind`` tag of a valid material file ('dielectric' default)."""
+    return _parse_material_file(path)[0]
 
 
 def builtin_material_names() -> list[str]:

@@ -533,8 +533,10 @@ class PotentialTable:
     # -- interpolation -----------------------------------------------------
 
     def _segments(self, z):
-        """(segment index, s = ln z - its knot) of each z, range-checked."""
-        t = np.log(z)
+        """(segment index, s = ln z - its knot) of each z, range-checked;
+        z <= 0 fails the check without numpy's log warning."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.log(z)
         inside = (t >= self._t_lo) & (t <= self._t_hi)
         if not inside.all():
             raise ValueError(f"z = {z[~inside].flat[0]:g} outside table range")

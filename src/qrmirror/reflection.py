@@ -112,10 +112,6 @@ class ReflectionResult:
     steps: int
     rejected: int
 
-    @property
-    def energy_neV(self) -> float:
-        return self.energy_au * CONSTANTS.hartree_neV
-
 
 def _wkb_bounds(table: PotentialTable, energy_au: float) -> tuple[float, float]:
     """Endpoints where WKB is exact: |Q| below _EDGE_TOL on both flanks.

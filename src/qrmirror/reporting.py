@@ -1,12 +1,19 @@
 """CSV and JSON writers with deterministic formatting.
 
-Identical inputs produce byte-identical files apart from the timestamp
-comment, which ``timestamp=False`` suppresses.  Column sets are part of the
-external interface and must not drift.
+Each report builds its columns and raw rows once, in its ``*_json``
+function, which returns them as they are.  The matching ``*_csv`` writer
+formats those same rows through ``_write_csv``: strings as they are, other
+values as ``%.10e`` and a missing value as the report's placeholder (``nan``
+in a sweep, ``n/a`` in a comparison).  The comparison cells are themselves
+the rows of both formats.  Identical inputs produce byte-identical files
+apart from the timestamp comment, which ``timestamp=False`` suppresses.
+Column sets are part of the external interface and must not drift.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from datetime import datetime, timezone
 from pathlib import Path
@@ -15,106 +22,63 @@ from .constants import CONSTANTS
 
 SCHEMA_VERSION = 1
 
-
-def _timestamp_line() -> str:
-    return f"# generated: {datetime.now(timezone.utc).isoformat()}"
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "n/a"
-    if isinstance(x, float):
-        return f"{x:.10e}"
-    return str(x)
+_CELL_COLUMNS = ("target", "row", "quantity", "computed", "reference",
+                 "tolerance", "status", "note")
 
 
-def _coefficient_header(table) -> list[str]:
-    """Fit coefficients in both unit systems, as CSV comment lines."""
-    eh = CONSTANTS.hartree_neV
-    nm = CONSTANTS.bohr_nm
-    lines = []
-    for label, value, power in (("C3", table.c3, 3), ("C4", table.c4, 4),
-                                ("C5", table.c5, 5)):
-        if value is None:
-            continue
-        lines.append(
-            f"# {label}_Eh_a0{power} = {value:.6e} ; "
-            f"{label}_neV_nm{power} = {value * eh * nm**power:.6e}"
-        )
-    return lines
+def _write_csv(path, timestamp: bool, columns, rows, head=(), tail=(),
+               missing: str = "n/a") -> None:
+    """Comment lines ``head``, the header, the formatted rows, then ``tail``.
 
+    A cell holding a comma or a quote is quoted, so every row parses to as
+    many cells as the header has."""
+    def cell(x) -> str:
+        if x is None:
+            return missing
+        return x if isinstance(x, str) else f"{x:.10e}"
 
-def potential_table_csv(table, path, include_ratio: bool = False,
-                        timestamp: bool = True) -> None:
-    lines = []
+    text = io.StringIO()
     if timestamp:
-        lines.append(_timestamp_line())
-    lines.append(f"# mirror: {table.label}")
-    lines.extend(_coefficient_header(table))
-    cols = "z_a0,z_nm,V_Eh,V_neV"
-    if include_ratio:
-        cols += ",V_over_Vstar"
-    lines.append(cols)
-    eh = CONSTANTS.hartree_neV
-    nm = CONSTANTS.bohr_nm
-    ratio = table.ratio_to_retarded() if include_ratio else None
-    for i, (z, v) in enumerate(zip(table.z, table.V)):
-        row = f"{z:.10e},{z * nm:.10e},{v:.10e},{v * eh:.10e}"
-        if include_ratio:
-            row += f",{ratio[i]:.10e}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+        text.write(f"# generated: {datetime.now(timezone.utc).isoformat()}\n")
+    text.writelines(f"{line}\n" for line in head)
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(map(cell, row) for row in rows)
+    text.writelines(f"{line}\n" for line in tail)
+    Path(path).write_text(text.getvalue())
 
 
-def potential_table_json(table, include_ratio: bool = False) -> dict:
+def potential_table_json(table) -> dict:
     eh = CONSTANTS.hartree_neV
     nm = CONSTANTS.bohr_nm
-    out = {
+    fit = {"near_exponent": table.asymptotics.near_exponent,
+           "far_exponent": table.asymptotics.far_exponent}
+    for power, value in ((3, table.c3), (4, table.c4), (5, table.c5)):
+        fit[f"C{power}_Eh_a0{power}"] = value
+        fit[f"C{power}_neV_nm{power}"] = (
+            None if value is None else value * eh * nm**power)
+    return {
         "schema_version": SCHEMA_VERSION,
         "mirror": table.label,
-        "fit": {
-            "C3_Eh_a03": table.c3,
-            "C4_Eh_a04": table.c4,
-            "C5_Eh_a05": table.c5,
-            "C3_neV_nm3": None if table.c3 is None else table.c3 * eh * nm**3,
-            "C4_neV_nm4": None if table.c4 is None else table.c4 * eh * nm**4,
-            "C5_neV_nm5": None if table.c5 is None else table.c5 * eh * nm**5,
-            "near_exponent": table.asymptotics.near_exponent,
-            "far_exponent": table.asymptotics.far_exponent,
-        },
-        "columns": ["z_a0", "z_nm", "V_Eh", "V_neV"],
-        "rows": [
-            [z, z * nm, v, v * eh] for z, v in zip(table.z, table.V)
-        ],
+        "fit": fit,
+        "columns": ["z_a0", "z_nm", "V_Eh", "V_neV", "V_over_Vstar"],
+        "rows": [[z, z * nm, v, v * eh, float(q)] for z, v, q
+                 in zip(table.z, table.V, table.ratio_to_retarded())],
     }
-    if include_ratio:
-        out["columns"].append("V_over_Vstar")
-        for row, q in zip(out["rows"], table.ratio_to_retarded()):
-            row.append(float(q))
-    return out
 
 
-def sweep_csv(points, path, timestamp: bool = True) -> None:
-    lines = []
-    if timestamp:
-        lines.append(_timestamp_line())
-    lines.append("h_m,E_neV,refl_prob,loss,re_r,im_r,flux_drift")
-    errors = []
-    for pt in points:
-        e_nev = pt.energy_au * CONSTANTS.hartree_neV
-        h = pt.height_m if pt.height_m is not None else \
-            e_nev / CONSTANTS.mg
-        if pt.result is None:
-            lines.append(f"{h:.10e},{e_nev:.10e},nan,nan,nan,nan,nan")
-            errors.append(f"# error at h_m={h:.6e}: {pt.error}")
-        else:
-            r = pt.result
-            lines.append(
-                f"{h:.10e},{e_nev:.10e},{r.probability:.10e},{r.loss:.10e},"
-                f"{r.r.real:.10e},{r.r.imag:.10e},{r.flux_drift:.10e}"
-            )
-    lines.extend(errors)
-    Path(path).write_text("\n".join(lines) + "\n")
+def potential_table_csv(table, path, timestamp: bool = True) -> None:
+    """The table with its fit coefficients, in both unit systems, as
+    comment lines."""
+    out = potential_table_json(table)
+    fit = out["fit"]
+    head = [f"# mirror: {out['mirror']}"]
+    for p in (3, 4, 5):
+        eh_key, nev_key = f"C{p}_Eh_a0{p}", f"C{p}_neV_nm{p}"
+        if fit[eh_key] is not None:
+            head.append(f"# {eh_key} = {fit[eh_key]:.6e} ; "
+                        f"{nev_key} = {fit[nev_key]:.6e}")
+    _write_csv(path, timestamp, out["columns"], out["rows"], head=head)
 
 
 def sweep_json(points) -> dict:
@@ -123,11 +87,11 @@ def sweep_json(points) -> dict:
     for pt in points:
         e_nev = pt.energy_au * CONSTANTS.hartree_neV
         h = pt.height_m if pt.height_m is not None else e_nev / CONSTANTS.mg
-        if pt.result is None:
+        r = pt.result
+        if r is None:
             rows.append([h, e_nev, None, None, None, None, None])
             errors.append({"h_m": h, "error": pt.error})
         else:
-            r = pt.result
             rows.append([h, e_nev, r.probability, r.loss,
                          r.r.real, r.r.imag, r.flux_drift])
     return {
@@ -139,21 +103,17 @@ def sweep_json(points) -> dict:
     }
 
 
-def lifetime_csv(rows, path, timestamp: bool = True) -> None:
-    """rows: iterable of (material, porosity or None, im_a_nm, lifetime_s)."""
-    lines = []
-    if timestamp:
-        lines.append(_timestamp_line())
-    lines.append("material,porosity,im_a_nm,lifetime_s")
-    for material, porosity, im_a_nm, tau in rows:
-        lines.append(
-            f"{material},{'' if porosity is None else f'{porosity:g}'},"
-            f"{im_a_nm:.10e},{tau:.10e}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def sweep_csv(points, path, timestamp: bool = True) -> None:
+    """Failed points get ``nan`` cells and an error comment at the end."""
+    out = sweep_json(points)
+    tail = [f"# error at h_m={e['h_m']:.6e}: {e['error']}"
+            for e in out["errors"]]
+    _write_csv(path, timestamp, out["columns"], out["rows"], tail=tail,
+               missing="nan")
 
 
 def lifetime_json(rows) -> dict:
+    """rows: iterable of (material, porosity or None, im_a_nm, lifetime_s)."""
     return {
         "schema_version": SCHEMA_VERSION,
         "columns": ["material", "porosity", "im_a_nm", "lifetime_s"],
@@ -161,22 +121,16 @@ def lifetime_json(rows) -> dict:
     }
 
 
-def badlands_csv(z, profiles, peaks, path, timestamp: bool = True) -> None:
-    """profiles: dict height_m -> Q array on z; peaks: height_m -> (z*, Q*)."""
-    lines = []
-    if timestamp:
-        lines.append(_timestamp_line())
-    for h, (pz, pq) in peaks.items():
-        lines.append(f"# peak h_m={h:g}: z_a0={pz:.6e} Q={pq:.6e}")
-    heights = list(profiles)
-    lines.append("z_a0," + ",".join(f"Q_h_m_{h:g}" for h in heights))
-    for i, zi in enumerate(z):
-        lines.append(f"{zi:.10e}," +
-                     ",".join(f"{profiles[h][i]:.10e}" for h in heights))
-    Path(path).write_text("\n".join(lines) + "\n")
+def lifetime_csv(rows, path, timestamp: bool = True) -> None:
+    """A bulk mirror's porosity is written empty, a porous one's as ``%g``."""
+    out = lifetime_json(rows)
+    _write_csv(path, timestamp, out["columns"],
+               ([m, "" if p is None else f"{p:g}", a, t]
+                for m, p, a, t in out["rows"]))
 
 
 def badlands_json(z, profiles, peaks) -> dict:
+    """profiles: dict height_m -> Q array on z; peaks: height_m -> (z*, Q*)."""
     heights = list(profiles)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -188,23 +142,21 @@ def badlands_json(z, profiles, peaks) -> dict:
     }
 
 
-def comparison_csv(rows, path, timestamp: bool = True) -> None:
-    """rows: dicts with target,row,quantity,computed,reference,tol,status,note."""
-    lines = []
-    if timestamp:
-        lines.append(_timestamp_line())
-    lines.append("target,row,quantity,computed,reference,tolerance,status,note")
-    for r in rows:
-        lines.append(
-            f"{r['target']},{r['row']},{r['quantity']},{_fmt(r['computed'])},"
-            f"{_fmt(r['reference'])},{r.get('tolerance', '')},"
-            f"{r['status']},{r.get('note', '')}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def badlands_csv(z, profiles, peaks, path, timestamp: bool = True) -> None:
+    out = badlands_json(z, profiles, peaks)
+    head = [f"# peak h_m={h}: z_a0={p['z_a0']:.6e} Q={p['Q']:.6e}"
+            for h, p in out["peaks"].items()]
+    _write_csv(path, timestamp, out["columns"], out["rows"], head=head)
 
 
 def comparison_json(rows) -> dict:
+    """rows: the ``reproduce`` cells, dicts keyed by ``_CELL_COLUMNS``."""
     return {"schema_version": SCHEMA_VERSION, "cells": rows}
+
+
+def comparison_csv(rows, path, timestamp: bool = True) -> None:
+    _write_csv(path, timestamp, _CELL_COLUMNS,
+               ([r.get(c, "") for c in _CELL_COLUMNS] for r in rows))
 
 
 def write_json(payload: dict, path) -> None:

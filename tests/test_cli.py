@@ -84,6 +84,19 @@ def test_non_finite_material_file_exits_2(monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_perfect_conductor_file_with_oscillators_exits_2(monkeypatch, tmp_path,
+                                                        capsys):
+    path = tmp_path / "both"
+    path.write_text("name = both\nkind = perfect_conductor\n"
+                    "osc = 1.0, 0.5, 0.1\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["potential", "--mirror", str(path), "--points", "16"]
+    assert cli.main(argv) == 2
+    assert f"{path}:3: a perfect_conductor file takes no osc lines" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("argv", [
     ["reproduce", "table1", "--points", "16"],
     ["reproduce", "table1", "--mirror", "graphene"],

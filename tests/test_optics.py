@@ -19,6 +19,7 @@ from qrmirror.optics import (
     graphene_sheet,
     load_builtin,
     load_material_file,
+    material_file_kind,
     sheet_reflection,
     slab_reflection,
 )
@@ -298,6 +299,19 @@ def test_non_finite_oscillator_rejected_with_line_number(tmp_path, bad, slot):
     path.write_text(f"name = bad\nosc = {', '.join(values)}\n")
     with pytest.raises(MaterialFileError, match=":2: non-finite"):
         load_material_file(path)
+
+
+@pytest.mark.parametrize("text", [
+    "name = both\nkind = perfect_conductor\nosc = 1.0, 0.5, 0.1\n",
+    "name = both\nosc = 1.0, 0.5, 0.1\nkind = perfect_conductor\n",
+], ids=["kind-first", "osc-first"])
+def test_perfect_conductor_with_oscillators_rejected(tmp_path, text):
+    path = tmp_path / "both"
+    path.write_text(text)
+    for read in (load_material_file, material_file_kind):
+        with pytest.raises(MaterialFileError,
+                           match=":3: a perfect_conductor file takes no osc"):
+            read(path)
 
 
 def test_malformed_line_reports_position(tmp_path):

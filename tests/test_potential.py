@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -330,17 +331,17 @@ def test_null_table():
 
 def test_csv_export_columns(pc_default_table, tmp_path):
     out = tmp_path / "table.csv"
-    potential_table_csv(pc_default_table, out, include_ratio=False,
-                        timestamp=False)
+    potential_table_csv(pc_default_table, out, timestamp=False)
     lines = out.read_text().splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "z_a0,z_nm,V_Eh,V_neV"
+    assert header == "z_a0,z_nm,V_Eh,V_neV,V_over_Vstar"
     assert any("C3_Eh_a03" in ln for ln in lines)
     assert any("C4_Eh_a04" in ln for ln in lines)
     first = [ln for ln in lines if not ln.startswith("#")][1].split(",")
-    z_a0, z_nm, v_eh, v_nev = map(float, first)
+    z_a0, z_nm, v_eh, v_nev, ratio = map(float, first)
     assert z_nm == pytest.approx(z_a0 * CONSTANTS.bohr_nm, rel=1e-9)
     assert v_nev == pytest.approx(v_eh * CONSTANTS.hartree_neV, rel=1e-9)
+    assert ratio == pytest.approx(v_eh / retarded_reference(z_a0), rel=1e-9)
 
 
 # -- one evaluator -----------------------------------------------------------
@@ -381,3 +382,14 @@ def test_both_paths_raise_outside_the_table(make):
     assert np.array_equal(tab.potential(ends), tab.derivatives(ends)[0])
     assert np.allclose([tab.derivatives_scalar(z)[0] for z in ends],
                        tab.potential(ends), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0])
+def test_array_paths_raise_for_non_positive_z_without_a_warning(z):
+    tab = PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.potential(np.array([z, 1.0]))
+        with pytest.raises(ValueError, match="outside table range"):
+            tab.derivatives(np.array([1.0, z]))
