@@ -11,7 +11,6 @@ from .optics import (
     MaterialFileError,
     Oscillator,
     Polarizability,
-    PorousSpec,
     SheetModel,
     bruggeman_mix,
     builtin_material_names,
@@ -25,7 +24,6 @@ from .optics import (
 )
 from .potential import (
     Asymptotics,
-    AsymptoticsError,
     MirrorSpec,
     PotentialTable,
     QuadratureError,

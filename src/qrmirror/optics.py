@@ -132,18 +132,6 @@ def graphene_sheet() -> SheetModel:
     return SheetModel(eta=math.pi * CONSTANTS.fine_structure)
 
 
-@dataclass(frozen=True)
-class PorousSpec:
-    """Host medium with a vacuum pore fraction f, mixed by Bruggeman."""
-
-    host: DielectricModel
-    porosity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.porosity <= 1.0:
-            raise ValueError(f"porosity must be in [0, 1], got {self.porosity}")
-
-
 def fresnel(eps, kappa):
     """Fresnel amplitudes (r_TM, r_TE) at imaginary frequency.
 
@@ -200,15 +188,18 @@ def sheet_reflection(sheet: SheetModel, xi, kappa):
     return float(r_tm), float(r_te)
 
 
-def bruggeman_mix(spec: PorousSpec, xi):
-    """Effective dielectric function of a host/vacuum two-phase composite.
+def bruggeman_mix(host: DielectricModel, porosity: float, xi):
+    """Effective dielectric function of a host/vacuum two-phase composite
+    with vacuum fraction f = ``porosity`` in [0, 1].
 
     Solves (1-f)(e_m - e)/(e_m + 2e) + f(1 - e)/(1 + 2e) = 0 for the
     physical root e in [1, e_m]; reduces to a quadratic with positive root
     e = (b + sqrt(b^2 + 8 e_m))/4, b = 2 e_m - 1 - 3 f (e_m - 1).
     """
-    eps_m = spec.host.epsilon(xi)
-    f = spec.porosity
+    if not 0.0 <= porosity <= 1.0:
+        raise ValueError(f"porosity must be in [0, 1], got {porosity}")
+    eps_m = host.epsilon(xi)
+    f = porosity
     b = 2.0 * eps_m - 1.0 - 3.0 * f * (eps_m - 1.0)
     eps_eff = 0.25 * (b + np.sqrt(b * b + 8.0 * eps_m))
     if eps_eff.ndim:

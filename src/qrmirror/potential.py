@@ -38,7 +38,6 @@ from .constants import CONSTANTS
 from .optics import (
     DEFAULT_POLARIZABILITY,
     DielectricModel,
-    PorousSpec,
     SheetModel,
     bruggeman_mix,
     fresnel,
@@ -55,30 +54,30 @@ class QuadratureError(RuntimeError):
     """Raised when the potential quadrature misses its error target."""
 
 
-class AsymptoticsError(ValueError):
-    """Raised when a power-law fit cannot converge on the table range."""
-
-
 # ---------------------------------------------------------------------------
 # mirror specification
 
 
 @dataclass(frozen=True)
 class MirrorSpec:
-    """Planar mirror: perfect conductor, bulk, finite slab, sheet or porous."""
+    """Planar mirror: perfect conductor, bulk, finite slab, sheet or porous.
+
+    A porous mirror is its host ``dielectric`` with a vacuum pore fraction
+    ``porosity`` in [0, 1), mixed by Bruggeman.
+    """
 
     kind: str
     dielectric: DielectricModel | None = None
     thickness_au: float | None = None
     sheet: SheetModel | None = None
-    porous_spec: PorousSpec | None = None
+    porosity: float | None = None
 
     _KINDS = ("perfect_conductor", "bulk", "slab", "sheet", "porous")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown mirror kind {self.kind!r}")
-        if self.kind in ("bulk", "slab"):
+        if self.kind in ("bulk", "slab", "porous"):
             if self.dielectric is None:
                 raise ValueError(f"{self.kind} mirror needs a dielectric model")
             if self.dielectric.is_vacuum:
@@ -90,12 +89,11 @@ class MirrorSpec:
         if self.kind == "sheet" and self.sheet is None:
             raise ValueError("sheet mirror needs a SheetModel")
         if self.kind == "porous":
-            if self.porous_spec is None:
-                raise ValueError("porous mirror needs a PorousSpec")
-            if self.porous_spec.host.is_vacuum:
-                raise ValueError("porous host must not be vacuum")
-            if self.porous_spec.porosity == 1.0:
-                raise ValueError("porosity 1 leaves vacuum: not a mirror")
+            if self.porosity is None or not 0.0 <= self.porosity < 1.0:
+                raise ValueError("porosity must be in [0, 1) (1 leaves vacuum: "
+                                 f"not a mirror), got {self.porosity}")
+        elif self.porosity is not None:
+            raise ValueError(f"a {self.kind} mirror takes no porosity")
 
     @classmethod
     def perfect_conductor(cls) -> "MirrorSpec":
@@ -119,7 +117,7 @@ class MirrorSpec:
 
     @classmethod
     def porous(cls, host: DielectricModel, porosity: float) -> "MirrorSpec":
-        return cls(kind="porous", porous_spec=PorousSpec(host, porosity))
+        return cls(kind="porous", dielectric=host, porosity=porosity)
 
     @property
     def label(self) -> str:
@@ -132,17 +130,14 @@ class MirrorSpec:
             return f"{self.dielectric.name} slab d={d_nm:g}nm"
         if self.kind == "sheet":
             return f"conducting sheet eta={self.sheet.eta:.5g}"
-        f = self.porous_spec.porosity
-        return f"porous {self.porous_spec.host.name} f={f:g}"
+        return f"porous {self.dielectric.name} f={self.porosity:g}"
 
     def response_scales_au(self) -> list[float]:
         """Imaginary-frequency scales structuring the response (Eh)."""
         scales: list[float] = []
-        model = self.dielectric
-        if self.kind == "porous":
-            model = self.porous_spec.host
-        if model is not None:
-            scales += [math.sqrt(o.resonance_sq) for o in model.oscillators]
+        if self.dielectric is not None:
+            scales += [math.sqrt(o.resonance_sq)
+                       for o in self.dielectric.oscillators]
         if self.kind == "slab":
             scales.append(_C / (2.0 * self.thickness_au))
         return scales
@@ -152,7 +147,7 @@ class MirrorSpec:
         if self.kind == "bulk" or self.kind == "slab":
             return self.dielectric.epsilon(xi)
         if self.kind == "porous":
-            return bruggeman_mix(self.porous_spec, xi)
+            return bruggeman_mix(self.dielectric, self.porosity, xi)
         raise ValueError(f"{self.kind} mirror has no dielectric function")
 
     def reflection(self, xi, kappa):
@@ -431,47 +426,36 @@ class Asymptotics:
     notes: list[str] = field(default_factory=list)
 
 
-def _decade_fit(t: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    """LS fit w = b + slope * t; returns (slope, b)."""
-    slope, b = np.polyfit(t, w, 1)
-    return float(slope), float(b)
-
-
 def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
     """Power-law fits on the extreme decades of a potential table.
 
     Near side targets exponent 3 (van der Waals); far side targets 4
-    (retarded, bulks) or 5 (slabs).  A side whose local exponent is not
-    within 0.05 of a target yields no coefficient.
+    (retarded, bulks), then 5 (slabs).  Each side is a least-squares line
+    of ln|V| against ln z over its end decade.  A side whose exponent is
+    not within 0.05 of a target yields no coefficient but a note, and so
+    does a table narrower than 2.5 decades: the fits are a report on the
+    table and never fail.
     """
     if table.is_null:
         return Asymptotics(notes=["null potential"])
     t = np.log(table.z)
     w = np.log(-table.V)
-    span = (t[-1] - t[0]) / math.log(10.0)
+    span = (t[-1] - t[0]) / _LN10
     if span < 2.5:
-        raise AsymptoticsError(f"table spans only {span:.2f} decades")
-    ln10 = math.log(10.0)
-    near = t <= t[0] + ln10
-    far = t >= t[-1] - ln10
-    out = Asymptotics()
-
-    slope, _ = _decade_fit(t[near], w[near])
-    out.near_exponent = -slope
-    if abs(out.near_exponent - 3.0) <= _EXPONENT_TOL:
-        out.c3 = float(np.exp(np.mean(w[near] + 3.0 * t[near])))
-    else:
-        out.notes.append(f"near exponent {out.near_exponent:.3f} not ~3")
-
-    slope, _ = _decade_fit(t[far], w[far])
-    out.far_exponent = -slope
-    if abs(out.far_exponent - 4.0) <= _EXPONENT_TOL:
-        out.c4 = float(np.exp(np.mean(w[far] + 4.0 * t[far])))
-    elif abs(out.far_exponent - 5.0) <= _EXPONENT_TOL:
-        out.c5 = float(np.exp(np.mean(w[far] + 5.0 * t[far])))
-    else:
-        out.notes.append(f"far exponent {out.far_exponent:.3f} neither ~4 nor ~5")
-    return out
+        return Asymptotics(notes=[f"table spans only {span:.2f} decades"])
+    fit = {"notes": []}
+    for side, end, targets in (("near", t <= t[0] + _LN10, (3.0,)),
+                               ("far", t >= t[-1] - _LN10, (4.0, 5.0))):
+        exponent = -float(np.polyfit(t[end], w[end], 1)[0])
+        fit[f"{side}_exponent"] = exponent
+        for p in targets:
+            if abs(exponent - p) <= _EXPONENT_TOL:
+                fit[f"c{p:g}"] = float(np.exp(np.mean(w[end] + p * t[end])))
+                break
+        else:
+            fit["notes"].append(f"{side} exponent {exponent:.3f} not ~"
+                                + " or ~".join(f"{p:g}" for p in targets))
+    return Asymptotics(**fit)
 
 
 class PotentialTable:
@@ -489,8 +473,7 @@ class PotentialTable:
     the free-space degenerate case used by tests.
     """
 
-    def __init__(self, z_au, v_au, label: str = "",
-                 require_asymptotics: bool = False):
+    def __init__(self, z_au, v_au, label: str = ""):
         z = np.asarray(z_au, dtype=float)
         v = np.asarray(v_au, dtype=float)
         if z.ndim != 1 or z.shape != v.shape or z.size < 4:
@@ -517,18 +500,7 @@ class PotentialTable:
             # plain-float copies for the scalar hot loop
             self._knots = t.tolist()
             self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
-        try:
-            self.asymptotics = extract_asymptotics(self)
-        except AsymptoticsError:
-            if require_asymptotics:
-                raise
-            self.asymptotics = Asymptotics(notes=["table too narrow for fits"])
-        if require_asymptotics:
-            a = self.asymptotics
-            if a.c3 is None or (a.c4 is None and a.c5 is None):
-                raise AsymptoticsError(
-                    f"{self.label}: asymptotic fits did not converge: {a.notes}"
-                )
+        self.asymptotics = extract_asymptotics(self)
 
     # -- interpolation -----------------------------------------------------
 
@@ -638,7 +610,8 @@ class PotentialTable:
 
 def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
                           n_points: int) -> PotentialTable:
-    """Tabulate V(z) on a log grid and fit the asymptotic coefficients."""
+    """Tabulate V(z) on a log grid and fit the asymptotic coefficients
+    (``PotentialTable.asymptotics``; a fit that misses leaves a note)."""
     if not 0 < z_lo < z_hi < math.inf:
         raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")
     if n_points < 16:
@@ -650,7 +623,7 @@ def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
             v[i] = cp_potential_point(mirror, zi)
         except QuadratureError as exc:
             raise QuadratureError(f"{mirror.label} at z = {zi:g} a0: {exc}") from exc
-    return PotentialTable(z, v, label=mirror.label, require_asymptotics=True)
+    return PotentialTable(z, v, label=mirror.label)
 
 
 # Grid wide enough that the WKB badlands function falls below 1e-8 on both

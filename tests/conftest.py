@@ -3,6 +3,10 @@ each), so they are built once per session and shared across modules.
 
 ``run_cli`` runs ``python -m qrmirror`` in a child process that imports
 the same ``qrmirror`` this test process imported.
+
+Hypothesis runs derandomized and without its example database: every run
+of a property test draws the same examples, so two runs of the suite (on
+two versions of the code, say) test the same inputs.
 """
 
 from __future__ import annotations
@@ -13,10 +17,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import qrmirror
 from qrmirror.optics import graphene_sheet, load_builtin
 from qrmirror.potential import MirrorSpec, PotentialTable, build_solver_table
+
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ check that the CLI does not depend on the working directory.
 """
 
 import json
+import math
 
 import pytest
 
@@ -253,13 +254,52 @@ def test_bad_config_key_exits_2(run_cli, tmp_path):
 
 
 def test_numerical_failure_exits_1(run_cli, tmp_path):
-    # grid clipped so the far WKB-exact region is off-table
-    cp = run_cli("reflect", "--mirror", "perfect_conductor",
-                 "--height-cm", "30", "--z-min-a0", "1e-8",
-                 "--z-max-a0", "1e3", "--points", "200", cwd=tmp_path)
-    assert cp.returncode == 1
-    # the CLI's own message, not a crash that also exits 1
-    assert "numerical failure:" in cp.stderr, cp.stderr
+    # grids clipped at the far end: at 1e3 a0 the far WKB-exact region is
+    # off-table, at 3e4 a0 r has not converged by the table end.  The solve
+    # of the only point fails, and the solver's message reaches stderr.
+    for z_max, points, message in (("1e3", "200", "WKB-exact region"),
+                                   ("3e4", "300", "did not converge")):
+        cp = run_cli("reflect", "--mirror", "perfect_conductor",
+                     "--height-cm", "30", "--z-min-a0", "1e-8",
+                     "--z-max-a0", z_max, "--points", points, cwd=tmp_path)
+        assert cp.returncode == 1
+        # the CLI's own message, not a crash that also exits 1
+        assert "numerical failure: h = 0.3 m:" in cp.stderr, cp.stderr
+        assert message in cp.stderr, cp.stderr
+
+
+def test_potential_on_a_window_without_asymptotic_regimes(monkeypatch,
+                                                          tmp_path):
+    # neither end of 10-1e5 a0 is a clean power law for a 5 nm slab: the
+    # table is written anyway, with no coefficient
+    monkeypatch.chdir(tmp_path)
+    argv = ["potential", "--mirror", "silica", "--slab-nm", "5",
+            "--z-min-a0", "10", "--z-max-a0", "1e5", "--points", "64",
+            "--format", "json", "--out", "slab.json"]
+    assert cli.main(argv) == 0
+    fit = json.loads((tmp_path / "slab.json").read_text())["fit"]
+    assert [fit[f"C{p}_Eh_a0{p}"] for p in (3, 4, 5)] == [None, None, None]
+    assert all(math.isfinite(fit[k]) for k in ("near_exponent",
+                                               "far_exponent"))
+
+
+@pytest.mark.parametrize("heights", [["10", "10"], ["10", "10.00000001"]])
+def test_badlands_heights_that_collide_exit_2(monkeypatch, tmp_path, capsys,
+                                              heights):
+    # the report keys its columns by %g of the height in metres; the check
+    # comes before any table is built
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(cli, "build_potential_table", no_table)
+    monkeypatch.chdir(tmp_path)
+    argv = ["badlands", "--mirror", "perfect_conductor"]
+    for h in heights:
+        argv += ["--height-cm", h]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "heights must differ" in err and heights[-1] in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_reproduce_table1(run_cli, tmp_path):

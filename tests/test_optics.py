@@ -11,7 +11,6 @@ from qrmirror.optics import (
     MaterialFileError,
     Oscillator,
     Polarizability,
-    PorousSpec,
     SheetModel,
     bruggeman_mix,
     builtin_material_names,
@@ -23,6 +22,7 @@ from qrmirror.optics import (
     sheet_reflection,
     slab_reflection,
 )
+from qrmirror.potential import MirrorSpec
 
 SINGLE_OSC = DielectricModel("test", (Oscillator(10.0, 1.0),))
 
@@ -214,28 +214,27 @@ def test_sheet_rejects_non_finite_eta(eta):
 
 def test_bruggeman_no_pores():
     si = load_builtin("silicon")
-    spec = PorousSpec(si, 0.0)
-    assert bruggeman_mix(spec, 0.0) == pytest.approx(si.static_epsilon, rel=1e-12)
+    assert bruggeman_mix(si, 0.0, 0.0) == pytest.approx(si.static_epsilon,
+                                                       rel=1e-12)
 
 
 def test_bruggeman_all_pores():
-    spec = PorousSpec(load_builtin("silicon"), 1.0)
-    assert bruggeman_mix(spec, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert bruggeman_mix(load_builtin("silicon"), 1.0, 0.0) == pytest.approx(
+        1.0, rel=1e-12)
 
 
 def test_bruggeman_half_fraction_quadratic_root():
     # eps_m = 3, f = 1/2: positive root (1 + sqrt(7))/2
     model = DielectricModel("eps3", (Oscillator(2.0, 1.0),))
-    spec = PorousSpec(model, 0.5)
-    assert bruggeman_mix(spec, 0.0) == pytest.approx((1 + math.sqrt(7)) / 2,
-                                                     rel=1e-12)
+    assert bruggeman_mix(model, 0.5, 0.0) == pytest.approx(
+        (1 + math.sqrt(7)) / 2, rel=1e-12)
 
 
 def test_bruggeman_self_consistency_residual():
     si = load_builtin("silicon")
     for f in (0.1, 0.5, 0.9, 0.95):
         eps_m = si.epsilon(0.05)
-        eps = bruggeman_mix(PorousSpec(si, f), 0.05)
+        eps = bruggeman_mix(si, f, 0.05)
         residual = ((1 - f) * (eps_m - eps) / (eps_m + 2 * eps)
                     + f * (1 - eps) / (1 + 2 * eps))
         assert abs(residual) < 1e-12
@@ -244,20 +243,28 @@ def test_bruggeman_self_consistency_residual():
 @given(f=st.floats(min_value=0.0, max_value=1.0))
 def test_bruggeman_bounded(f):
     si = load_builtin("silicon")
-    eps = bruggeman_mix(PorousSpec(si, f), 0.0)
+    eps = bruggeman_mix(si, f, 0.0)
     assert 1.0 - 1e-12 <= eps <= si.static_epsilon + 1e-12
 
 
 def test_bruggeman_monotone_in_porosity():
     si = load_builtin("silicon")
     fs = np.linspace(0.0, 1.0, 101)
-    eps = np.array([bruggeman_mix(PorousSpec(si, f), 0.0) for f in fs])
+    eps = np.array([bruggeman_mix(si, f, 0.0) for f in fs])
     assert np.all(np.diff(eps) < 0)
 
 
 def test_porosity_validation():
-    with pytest.raises(ValueError):
-        PorousSpec(load_builtin("silicon"), 1.2)
+    # a porous mirror takes f in [0, 1); the mixing rule itself takes [0, 1]
+    si = load_builtin("silicon")
+    assert MirrorSpec.porous(si, 0.0).porosity == 0.0
+    for f in (-0.1, 1.2, math.nan):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            MirrorSpec.porous(si, f)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bruggeman_mix(si, f, 0.0)
+    with pytest.raises(ValueError, match="not a mirror"):
+        MirrorSpec.porous(si, 1.0)
 
 
 # -- material files ----------------------------------------------------------

@@ -3,12 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from qrmirror.constants import CONSTANTS
-from qrmirror.optics import DEFAULT_POLARIZABILITY, graphene_sheet, load_builtin
+from qrmirror.optics import (
+    DEFAULT_POLARIZABILITY,
+    SheetModel,
+    graphene_sheet,
+    load_builtin,
+)
 from qrmirror.potential import (
-    AsymptoticsError,
     MirrorSpec,
     PotentialTable,
     build_potential_table,
@@ -48,11 +53,37 @@ def test_mirror_validation():
             MirrorSpec.slab(si, thickness)
     with pytest.raises(ValueError, match="not a mirror"):
         MirrorSpec.porous(si, 1.0)
+    # the lifetime report reads the porosity of any mirror
+    with pytest.raises(ValueError, match="takes no porosity"):
+        MirrorSpec(kind="bulk", dielectric=si, porosity=0.5)
 
 
 def test_mirror_labels():
     assert MirrorSpec.perfect_conductor().label == "perfect conductor"
     assert "silicon" in MirrorSpec.bulk(load_builtin("silicon")).label
+    por = MirrorSpec.porous(load_builtin("silica"), 0.98)
+    assert (por.label, por.dielectric.name) == ("porous silica f=0.98", "silica")
+
+
+_SILICA = load_builtin("silica")
+
+
+@pytest.mark.parametrize("build, valid", [
+    (lambda x: MirrorSpec.slab(_SILICA, x), lambda x: 0 < x < math.inf),
+    (lambda x: MirrorSpec.porous(_SILICA, x), lambda x: 0 <= x < 1),
+    (lambda x: MirrorSpec.conducting_sheet(SheetModel(x)),
+     lambda x: 0 <= x < math.inf),
+], ids=["slab", "porous", "sheet"])
+@given(x=st.floats())
+def test_spec_inputs_build_or_raise_value_error(build, valid, x):
+    # any float, NaN and +-inf included: a spec with a label, or ValueError
+    try:
+        mirror = build(x)
+    except ValueError:
+        assert not valid(x)
+    else:
+        assert valid(x)
+        assert isinstance(mirror.label, str)
 
 
 # -- potential point ---------------------------------------------------------
@@ -289,9 +320,26 @@ def test_synthetic_c5_extraction():
 
 
 def test_extraction_requires_range():
+    # under 2.5 decades the fits leave a note, and the table still builds
     tab = PotentialTable.from_power_law(1.0, 4.0, 1.0, 30.0, 24)
-    with pytest.raises(AsymptoticsError):
-        extract_asymptotics(tab)
+    fit = extract_asymptotics(tab)
+    assert fit == tab.asymptotics
+    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
+    assert (fit.near_exponent, fit.far_exponent) == (None, None)
+    assert fit.notes == ["table spans only 1.48 decades"]
+
+
+def test_ends_that_are_not_power_laws_leave_notes():
+    # local exponent 2 + z/(1+z): about 2.7 on the first decade, 3 on the
+    # last, so neither end meets its target and the table still builds
+    z = np.geomspace(1.0, 1e5, 64)
+    tab = PotentialTable(z, -1.0 / (z**2 * (1.0 + z)))
+    fit = tab.asymptotics
+    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
+    assert 2.5 < fit.near_exponent < 2.9
+    assert fit.far_exponent == pytest.approx(3.0, abs=1e-3)
+    assert fit.notes == [f"near exponent {fit.near_exponent:.3f} not ~3",
+                         f"far exponent {fit.far_exponent:.3f} not ~4 or ~5"]
 
 
 def test_build_table_validation():
