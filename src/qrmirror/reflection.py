@@ -16,11 +16,18 @@ The WKB waves are exact wherever the badlands function
 
     Q = hbar^2 [ p''/p - (3/2)(p'/p)^2 ] / (2 p^2)
 
-vanishes; integration starts and stops where |Q| is below _EDGE_TOL =
-1e-8, which for CP potentials happens both near the surface and far away.
-Attractive potentials have no classical turning point, so no tunneling
-machinery is needed; the gravity field itself is not part of the solver
-potential (E is the fixed incident energy from the free fall).
+vanishes; the WKB-exact endpoints z_start and z_end_min are where |Q| is
+below _EDGE_TOL = 1e-8, which for CP potentials happens both near the
+surface and far away.  Between z_start and about 1 a0 no reflection
+happens, only WKB oscillations, so the integration does not step through
+them: it starts at the launch point z_m, the last grid point before the
+badlands peak up to which the second-order WKB incoming wave is exact to
+_EDGE_TOL/4, and carries only the phase over [z_start, z_m].  r is
+referenced to z0 = z_end_min, so it does not depend on where the solve
+happens to stop.  Attractive potentials have no classical turning point,
+so no tunneling machinery is needed; the gravity field itself is not part
+of the solver potential (E is the fixed incident energy from the free
+fall).
 """
 
 from __future__ import annotations
@@ -30,11 +37,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
 
 _M = CONSTANTS.mass_au
+_GL16_X, _GL16_W = leggauss(16)
 
 # tolerances and step limits of the amplitude solver
 _EDGE_TOL = 1e-8          # |Q| defining the WKB-exact endpoints
@@ -102,7 +111,7 @@ class SolveOptions:
 
 @dataclass
 class ReflectionResult:
-    r: complex                    # phase referenced to z0 = z_end
+    r: complex                    # phase referenced to z0 = Q-selected z_end_min
     probability: float            # |r|^2
     loss: float                   # 1 - |r|^2
     energy_au: float
@@ -113,13 +122,19 @@ class ReflectionResult:
     rejected: int
 
 
-def _wkb_bounds(table: PotentialTable, energy_au: float) -> tuple[float, float]:
-    """Endpoints where WKB is exact: |Q| below _EDGE_TOL on both flanks.
+def _wkb_bounds(table: PotentialTable,
+                energy_au: float) -> tuple[float, float, float]:
+    """(z_start, z_m, z_end_min): the WKB-exact endpoints, where |Q| is below
+    _EDGE_TOL on both flanks, and the launch point z_m.
 
     Uses prefix/suffix running maxima of |Q| so an accidental zero crossing
-    inside the badlands cannot be mistaken for the WKB-exact region.
+    inside the badlands cannot be mistaken for the WKB-exact region.  z_m is
+    the last grid point before the peak up to which the running maximum of
+    |Q'|/8p, the term the second-order launch drops, stays within
+    _EDGE_TOL/4, the error of a first-order launch at z_start.
     """
-    q = np.abs(badlands_q(table, energy_au, table.z))
+    q_signed = badlands_q(table, energy_au, table.z)
+    q = np.abs(q_signed)
     i_peak = int(np.argmax(q))
     prefix_ok = np.maximum.accumulate(q) <= _EDGE_TOL
     start_candidates = np.nonzero(prefix_ok[: i_peak + 1])[0]
@@ -136,7 +151,42 @@ def _wkb_bounds(table: PotentialTable, energy_au: float) -> tuple[float, float]:
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
             f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
-    return float(table.z[start_candidates[-1]]), float(table.z[end_candidates[0]])
+    p = np.sqrt(2.0 * _M * (energy_au - table.V[: i_peak + 1]))
+    dropped = np.abs(np.gradient(q_signed, table.z)[: i_peak + 1]) / (8.0 * p)
+    launch_candidates = np.nonzero(
+        np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL)[0]
+    i_m = launch_candidates[-1] if launch_candidates.size else 0
+    return (float(table.z[start_candidates[-1]]), float(table.z[i_m]),
+            float(table.z[end_candidates[0]]))
+
+
+def _phase(table: PotentialTable, energy_au: float,
+           z1: float, z2: float) -> float:
+    """Integral of p(z) over [z1, z2] by 16-point Gauss-Legendre on panels
+    of ln z at most 0.5 wide."""
+    t1, t2 = math.log(z1), math.log(z2)
+    edges = np.linspace(t1, t2, max(1, math.ceil(abs(t2 - t1) / 0.5)) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    z = np.exp(edges[:-1, None] + half * (1.0 + _GL16_X))
+    p = np.sqrt(2.0 * _M * (energy_au - table.potential(z)))
+    return float(np.sum(half * _GL16_W * p * z))
+
+
+def _launch_ratio(table: PotentialTable, energy_au: float,
+                  z: float) -> complex:
+    """sigma = c+ e^{2i phi}/c- of the second-order WKB incoming wave at z.
+
+    The wave e^{-i int W}/sqrt(W) with W = p(1 - Q/2) solves the Schrodinger
+    equation up to a term |Q'|/8p in sigma.  Its log-derivative y, projected
+    onto the amplitude gauge (psi' = i p (c+ e^{i phi} - c- e^{-i phi})/
+    (hbar sqrt(p))), gives sigma = (ip + y)/(ip - y) =
+    (iQ/2 - beta)/(2i - iQ/2 + beta) with beta = hbar p'/2p^2.
+    """
+    v, vp, _ = table.derivatives_scalar(z)
+    p = math.sqrt(2.0 * _M * (energy_au - v))
+    beta = -_M * vp / (2.0 * p**3)
+    q = badlands_q(table, energy_au, z)
+    return (0.5j * q - beta) / (2j - 0.5j * q + beta)
 
 
 # Cash-Karp embedded 5(4) pair.
@@ -159,11 +209,12 @@ def solve_reflection(table: PotentialTable, energy_au: float,
                      opts: SolveOptions | None = None) -> ReflectionResult:
     """Integrate the coupled amplitude equations outward and return r.
 
-    Starts from the near-surface WKB-exact point in the absorbing state
-    (purely incoming flux, the finite-z form of c+(0) = 0; see the launch
-    comment below), advances phi by the same embedded quadrature as the
-    amplitudes, and stops once |Q| < _EDGE_TOL and r has stopped changing
-    (relative change below _R_TOL across the trailing decade of z).
+    Starts from the launch point z_m (or z_start, if that lies further out)
+    in the absorbing state (purely incoming flux, the finite-z form of
+    c+(0) = 0; see the launch comment below), advances phi by the same
+    embedded quadrature as the amplitudes, and stops once |Q| < _EDGE_TOL
+    and r has stopped changing (relative change below _R_TOL across the
+    trailing decade of z).
     """
     opts = opts or SolveOptions()
     if not 0 < energy_au < math.inf:
@@ -174,13 +225,12 @@ def solve_reflection(table: PotentialTable, energy_au: float,
                                 z_end=table.z_max, flux_drift=0.0,
                                 steps=0, rejected=0)
 
-    z_start, z_end_min = _wkb_bounds(table, energy_au)
+    z_start, z_m, z_ref = _wkb_bounds(table, energy_au)
     if opts.z_start is not None:
         if not table.z_min <= opts.z_start < table.z_max:
             raise SolveError(f"z_start override {opts.z_start:g} outside table")
         z_start = opts.z_start
-    if opts.z_end_min is not None:
-        z_end_min = opts.z_end_min
+    z_end_min = z_ref if opts.z_end_min is None else opts.z_end_min
     z_hard_end = table.z_max
 
     # constants bound to locals: rhs and max_step are the hot loop
@@ -195,19 +245,17 @@ def solve_reflection(table: PotentialTable, energy_au: float,
         e = cmath.exp(-2j * phi)
         return g * e * cm, g * e.conjugate() * cp, p
 
-    # Launch state: the exact absorbing solution where Q = 0 is the primitive
-    # incoming WKB wave e^{-i phi}/sqrt(p).  Projected onto the amplitude
-    # gauge (psi' = i p (c+ e^{i phi} - c- e^{-i phi})/(hbar sqrt(p))) it is
-    # not c+ = 0 but c+ = (i beta/2) e^{-2i phi} c-, with beta = hbar p'/2p^2;
-    # c+ -> 0 as z_start -> 0, recovering full absorption at the surface.
-    # The residual launch error is O(Q(z_start)) ~ _EDGE_TOL.
-    phi = opts.phase_origin
-    z = z_start
-    v0, vp0, _ = deriv(z)
-    p0 = math.sqrt(two_m * (energy_au - v0))
-    beta0 = -mass * vp0 / (2.0 * p0**3)
-    cp = 0.5j * beta0 * cmath.exp(-2j * phi)
-    cm = 1.0 - 0.5j * beta0
+    # Launch state: the second-order WKB incoming wave (see _launch_ratio),
+    # normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0: c+ -> 0 only as
+    # z -> 0, the full absorption at the surface.  Its error |Q'|/8p stays
+    # within _EDGE_TOL/4 up to z_m, so [z_start, z_m] enters only through
+    # its phase integral.
+    z = max(z_start, z_m)
+    phi = opts.phase_origin + _phase(table, energy_au, z_start, z)
+    sigma = _launch_ratio(table, energy_au, z)
+    cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
+    cp = sigma * cmath.exp(-2j * phi) * cm
+    p0 = math.sqrt(two_m * (energy_au - deriv(z)[0]))
 
     phase_step_frac, z_step_frac = _PHASE_STEP_FRAC, _Z_STEP_FRAC
 
@@ -220,7 +268,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     atol, rtol = _RK_ATOL, _RK_RTOL
     flux_drift = 0.0
     steps = rejected = 0
-    next_checkpoint = z_start * _CHECKPOINT_RATIO
+    next_checkpoint = z * _CHECKPOINT_RATIO
     history: list[tuple[float, complex]] = []
     converged = False
 
@@ -302,7 +350,10 @@ def solve_reflection(table: PotentialTable, energy_au: float,
             f"flux drift {flux_drift:.2e} exceeds {_FLUX_TOL:g}: "
             f"step control failure"
         )
-    r = (cp / cm) * cmath.exp(2j * phi)  # phase reference z0 = z_end
+    # phase reference z0 = the Q-selected z_end_min, not z_end: far out each
+    # step advances 2 phi by pi, so r referenced to z_end would flip sign
+    # with the parity of the step count
+    r = (cp / cm) * cmath.exp(2j * (phi - _phase(table, energy_au, z_ref, z)))
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,
                             energy_au=energy_au, z_start=z_start,

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from qrmirror.constants import CONSTANTS
 from qrmirror.numerov import numerov_reflection
@@ -9,6 +10,7 @@ from qrmirror.potential import PotentialTable
 from qrmirror.reflection import (
     SolveError,
     SolveOptions,
+    _launch_ratio,
     badlands_profile,
     badlands_q,
     reflection_sweep,
@@ -76,6 +78,8 @@ def test_pc_reflection_at_30cm(pc_table):
     assert 0.0 <= res.probability <= 1.0
     assert res.loss == pytest.approx(1.0 - res.probability)
     assert res.flux_drift < 1e-6
+    # the launch past the near-surface flank: 43,441 steps from z_start
+    assert res.steps <= 3_500
 
 
 def test_silica_reflection_at_30cm(silica_table):
@@ -128,6 +132,42 @@ def test_boundary_robustness(silica_table):
                                                       silica_table.z_max / 3)))
     assert res_half.probability == pytest.approx(res.probability, abs=1e-4)
     assert res_far.probability == pytest.approx(res.probability, abs=1e-4)
+
+
+@pytest.mark.parametrize("height", [0.3, 1.0])
+def test_phase_reference_does_not_depend_on_the_end(pc_table, silica_table,
+                                                   height):
+    # r is referenced to the Q-selected z_end_min, so moving the end of the
+    # solve must leave complex r alone, not just |r|: far out each step
+    # advances 2 phi by pi, and r referenced to z_end flips sign with the
+    # parity of the step count
+    energy = CONSTANTS.energy_au_from_height(height)
+    for table in (pc_table, silica_table):
+        res = solve_reflection(table, energy)
+        far = solve_reflection(table, energy, SolveOptions(
+            z_end_min=min(2.0 * res.z_end, table.z_max / 3.0)))
+        assert far.z_end > res.z_end
+        assert abs(far.r - res.r) <= 1e-6 * abs(res.r)
+
+
+@pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1])
+def test_launch_matches_the_exact_c3_absorbing_wave(pure_c3_table, z):
+    # For V = -C3/z^3 at zero energy psi = sqrt(z) H1(x), x = 2 sqrt(b/z),
+    # b = 2 m C3 / hbar^2, is the exact wave falling into the surface.  Its
+    # log-derivative y gives sigma = (ip + y)/(ip - y); the second-order
+    # launch misses it by the dropped term |Q'|/8p = 0.29 |Q|^{3/2}, the
+    # first-order one (Q = 0) by |Q|/4.
+    b = 2.0 * _M * 0.25
+    x = 2.0 * math.sqrt(b / z)
+    y = 1.0 / z - x / (2.0 * z) * hankel1(0, x) / hankel1(1, x)
+    v, vp, _ = pure_c3_table.derivatives_scalar(z)
+    p = math.sqrt(2.0 * _M * (E30 - v))
+    exact = (1j * p + y) / (1j * p - y)
+    q = abs(badlands_q(pure_c3_table, E30, z))
+    assert abs(_launch_ratio(pure_c3_table, E30, z) - exact) <= 0.3 * q**1.5
+    beta = -_M * vp / (2.0 * p**3)
+    first_order = -beta / (2j + beta)
+    assert abs(first_order - exact) == pytest.approx(q / 4.0, rel=0.01)
 
 
 def test_solver_is_deterministic(pc_table):
