@@ -39,7 +39,6 @@ from .reflection import (
     BadlandsProfile,
     ReflectionResult,
     SolveError,
-    SolveOptions,
     SweepPoint,
     badlands_profile,
     badlands_q,

@@ -122,9 +122,8 @@ def _resolve_mirror(args) -> MirrorSpec:
             raise UsageError("perfect conductor takes no slab/porosity modifier")
         return MirrorSpec.perfect_conductor()
     model = load_material_file(path)
-    if model.is_vacuum:
-        raise UsageError(f"material {name!r} has no oscillators: not a mirror")
-    # MirrorSpec validates the thickness and the porosity (ValueError: exit 2)
+    # MirrorSpec rejects a model without oscillators and validates the
+    # thickness and the porosity (ValueError: exit 2)
     if slab_nm is not None:
         return MirrorSpec.slab_nm(model, slab_nm)
     if porosity is not None:
@@ -161,15 +160,11 @@ def _mirror_slug(mirror: MirrorSpec) -> str:
 
 def _table(args, mirror: MirrorSpec) -> PotentialTable:
     """The mirror's table on the grid of the flags/config, else the solver
-    grid."""
-    z_lo = _effective(args, "z_min_a0", SOLVER_Z_LO)
-    z_hi = _effective(args, "z_max_a0", SOLVER_Z_HI)
-    n = _effective(args, "points", SOLVER_POINTS)
-    if not 0 < z_lo < z_hi < math.inf:
-        raise UsageError("need 0 < z-min < z-max < inf")
-    if n < 16:
-        raise UsageError("need at least 16 grid points")
-    return build_potential_table(mirror, z_lo, z_hi, n)
+    grid; build_potential_table validates the grid (ValueError: exit 2)."""
+    return build_potential_table(mirror,
+                                 _effective(args, "z_min_a0", SOLVER_Z_LO),
+                                 _effective(args, "z_max_a0", SOLVER_Z_HI),
+                                 _effective(args, "points", SOLVER_POINTS))
 
 
 def _emit(args, stem: str, write_csv, make_json, *data) -> None:
@@ -228,7 +223,7 @@ def _cmd_reflect(args) -> int:
     mirror = _resolve_mirror(args)
     heights = _heights_m(args)
     table = _table(args, mirror)
-    points = reflection_sweep(table, heights_m=heights)
+    points = reflection_sweep(table, heights)
     _emit(args, f"reflect_{_mirror_slug(mirror)}", reporting.sweep_csv,
           reporting.sweep_json, points)
     failed = [p for p in points if p.result is None]
@@ -389,7 +384,7 @@ def _reproduce_fig1(tables, refs) -> list[dict]:
     heights = [0.01, 0.03, 0.1, 0.3, 1.0]
     probs = {}
     for name in tables:
-        pts = reflection_sweep(tables[name], heights_m=heights)
+        pts = reflection_sweep(tables[name], heights)
         probs[name] = [p.result.probability for p in pts]
     ok_refl = all(
         probs["perfect_conductor"][i] < probs["silicon"][i] < probs["silica"][i]

@@ -23,6 +23,7 @@ from .reflection import solve_reflection
 
 _M = CONSTANTS.mass_au
 _LINEARITY_TOL = 0.05   # allowed relative spread of the two threshold estimates
+_HEIGHTS_M = (1e-7, 4e-7)   # free-fall heights of the two threshold solves
 
 
 class ExtractionError(RuntimeError):
@@ -54,23 +55,20 @@ class LifetimeResult:
     scattering: ScatteringLength
 
 
-def scattering_length(table: PotentialTable,
-                      heights_m: tuple[float, float] = (1e-7, 4e-7)
-                      ) -> ScatteringLength:
+def scattering_length(table: PotentialTable) -> ScatteringLength:
     """Extract a = -i |Im a| from reflection losses at two small energies.
 
-    With h2 = 4 h1 the wavevectors satisfy k2 = 2 k1 and the Richardson
-    extrapolation 2*est(k1) - est(k2) removes the O(k) correction.  If the
-    two single-energy estimates differ by more than _LINEARITY_TOL (5%) the
+    The energies are those of free falls from _HEIGHTS_M.  With h2 = 4 h1
+    the wavevectors satisfy k2 = 2 k1 and the Richardson extrapolation
+    2*est(k1) - est(k2) removes the O(k) correction.  If the two
+    single-energy estimates differ by more than _LINEARITY_TOL (5%) the
     extraction retries once at 10x smaller heights, then fails.
     """
-    h1, h2 = heights_m
-    if not 0 < h1 < h2:
-        raise ValueError("need 0 < h1 < h2")
     if table.is_null:
         return ScatteringLength(a=0.0j, source_energies_au=(0.0, 0.0),
                                 estimates=(0.0, 0.0), linear_deviation=0.0)
     # one retry at 10x smaller heights if the first pair is not linear
+    h1, h2 = _HEIGHTS_M
     for h1, h2 in ((h1, h2), (h1 / 10.0, h2 / 10.0)):
         energies = (CONSTANTS.energy_au_from_height(h1),
                     CONSTANTS.energy_au_from_height(h2))

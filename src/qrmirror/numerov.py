@@ -27,12 +27,12 @@ from .potential import PotentialTable
 
 _M = CONSTANTS.mass_au
 _GL16_X, _GL16_W = leggauss(16)
+_POINTS_PER_WAVELENGTH = 100   # Numerov points per local de Broglie wavelength
 
 
 @dataclass
 class NumerovResult:
     r_magnitude: float
-    z_start: float
     z_end: float
     n_points: int
 
@@ -49,8 +49,7 @@ def _phase_between(table: PotentialTable, energy_au: float,
 
 
 def numerov_reflection(table: PotentialTable, energy_au: float,
-                       z_start: float, z_end: float,
-                       points_per_wavelength: int = 100) -> NumerovResult:
+                       z_start: float, z_end: float) -> NumerovResult:
     """|r| from Numerov integration between the given WKB-exact endpoints."""
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
@@ -62,7 +61,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     def wavevector(z):
         return np.sqrt(two_m * (energy_au - table.potential(z)))
 
-    ppw = float(points_per_wavelength)
+    ppw = float(_POINTS_PER_WAVELENGTH)
     k0 = float(wavevector(z_start))
     h = 2.0 * math.pi / (k0 * ppw)
     if z_start + h >= z_end:
@@ -134,6 +133,5 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     psi_b = psi_tail[j2]
     c_plus = (m22 * psi_a - m12 * psi_b) / det
     c_minus = (-m21 * psi_a + m11 * psi_b) / det
-    return NumerovResult(r_magnitude=abs(c_plus / c_minus),
-                         z_start=z_start, z_end=z_last,
+    return NumerovResult(r_magnitude=abs(c_plus / c_minus), z_end=z_last,
                          n_points=total_points)

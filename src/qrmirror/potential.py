@@ -595,16 +595,16 @@ class PotentialTable:
     @classmethod
     def from_power_law(cls, coefficient: float, exponent: float,
                        z_lo: float = 1e-2, z_hi: float = 1e6,
-                       n_points: int = 200, label: str | None = None):
+                       n_points: int = 200):
         """Synthetic pure power-law table V = -coefficient / z^exponent."""
         z = np.geomspace(z_lo, z_hi, n_points)
         v = -coefficient / z**exponent
-        return cls(z, v, label=label or f"synthetic -{coefficient:g}/z^{exponent:g}")
+        return cls(z, v, label=f"synthetic -{coefficient:g}/z^{exponent:g}")
 
     @classmethod
-    def null(cls, z_lo: float = 1e-2, z_hi: float = 1e6, n_points: int = 64):
-        """Free-space table, V identically zero."""
-        z = np.geomspace(z_lo, z_hi, n_points)
+    def null(cls):
+        """Free-space table, V identically zero, on 1e-2..1e6 a0."""
+        z = np.geomspace(1e-2, 1e6, 64)
         return cls(z, np.zeros_like(z), label="free space")
 
 

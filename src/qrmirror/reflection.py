@@ -22,12 +22,12 @@ surface and far away.  Between z_start and about 1 a0 no reflection
 happens, only WKB oscillations, so the integration does not step through
 them: it starts at the launch point z_m, the last grid point before the
 badlands peak up to which the second-order WKB incoming wave is exact to
-_EDGE_TOL/4, and carries only the phase over [z_start, z_m].  r is
-referenced to z0 = z_end_min, so it does not depend on where the solve
-happens to stop.  Attractive potentials have no classical turning point,
-so no tunneling machinery is needed; the gravity field itself is not part
-of the solver potential (E is the fixed incident energy from the free
-fall).
+_EDGE_TOL/4, with phi = 0 there.  r does not depend on phi's origin, and
+it is referenced to z0 = z_end_min, so it does not depend on where the
+solve happens to stop either.  Attractive potentials have no classical
+turning point, so no tunneling machinery is needed; the gravity field
+itself is not part of the solver potential (E is the fixed incident
+energy from the free fall).
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ class SolveError(RuntimeError):
 
 @dataclass
 class BadlandsProfile:
-    z: np.ndarray
     q: np.ndarray
     peak_z: float
     peak_q: float
-    energy_au: float
 
 
 def badlands_q(table: PotentialTable, energy_au: float, z_au):
@@ -92,21 +90,11 @@ def badlands_profile(table: PotentialTable, energy_au: float) -> BadlandsProfile
     """Q sampled on the table grid, with its peak location and height."""
     q = badlands_q(table, energy_au, table.z)
     i = int(np.argmax(np.abs(q)))
-    return BadlandsProfile(z=table.z.copy(), q=q, peak_z=float(table.z[i]),
-                           peak_q=float(q[i]), energy_au=energy_au)
+    return BadlandsProfile(q=q, peak_z=float(table.z[i]), peak_q=float(q[i]))
 
 
 # ---------------------------------------------------------------------------
 # amplitude-equation solver
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Probes of the solve's invariants: |r| must not depend on any of them."""
-
-    z_start: float | None = None  # override the Q-selected start
-    z_end_min: float | None = None  # override the Q-selected earliest end
-    phase_origin: float = 0.0     # phi at z_start
 
 
 @dataclass
@@ -205,8 +193,7 @@ _CK_ERR = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
 _CHECKPOINT_RATIO = 10.0 ** 0.125
 
 
-def solve_reflection(table: PotentialTable, energy_au: float,
-                     opts: SolveOptions | None = None) -> ReflectionResult:
+def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResult:
     """Integrate the coupled amplitude equations outward and return r.
 
     Starts from the launch point z_m (or z_start, if that lies further out)
@@ -216,7 +203,6 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     and r has stopped changing (relative change below _R_TOL across the
     trailing decade of z).
     """
-    opts = opts or SolveOptions()
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
     if table.is_null:
@@ -225,12 +211,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
                                 z_end=table.z_max, flux_drift=0.0,
                                 steps=0, rejected=0)
 
-    z_start, z_m, z_ref = _wkb_bounds(table, energy_au)
-    if opts.z_start is not None:
-        if not table.z_min <= opts.z_start < table.z_max:
-            raise SolveError(f"z_start override {opts.z_start:g} outside table")
-        z_start = opts.z_start
-    z_end_min = z_ref if opts.z_end_min is None else opts.z_end_min
+    z_start, z_m, z_end_min = _wkb_bounds(table, energy_au)
     z_hard_end = table.z_max
 
     # constants bound to locals: rhs and max_step are the hot loop
@@ -248,13 +229,14 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     # Launch state: the second-order WKB incoming wave (see _launch_ratio),
     # normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0: c+ -> 0 only as
     # z -> 0, the full absorption at the surface.  Its error |Q'|/8p stays
-    # within _EDGE_TOL/4 up to z_m, so [z_start, z_m] enters only through
-    # its phase integral.
+    # within _EDGE_TOL/4 up to z_m, so the solve does not step through
+    # [z_start, z_m].  phi starts at 0 there: the launch would carry
+    # e^{-2i phi} of any other origin, and r e^{2i phi} below cancels it.
     z = max(z_start, z_m)
-    phi = opts.phase_origin + _phase(table, energy_au, z_start, z)
+    phi = 0.0
     sigma = _launch_ratio(table, energy_au, z)
     cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
-    cp = sigma * cmath.exp(-2j * phi) * cm
+    cp = sigma * cm
     p0 = math.sqrt(two_m * (energy_au - deriv(z)[0]))
 
     phase_step_frac, z_step_frac = _PHASE_STEP_FRAC, _Z_STEP_FRAC
@@ -353,7 +335,7 @@ def solve_reflection(table: PotentialTable, energy_au: float,
     # phase reference z0 = the Q-selected z_end_min, not z_end: far out each
     # step advances 2 phi by pi, so r referenced to z_end would flip sign
     # with the parity of the step count
-    r = (cp / cm) * cmath.exp(2j * (phi - _phase(table, energy_au, z_ref, z)))
+    r = (cp / cm) * cmath.exp(2j * (phi - _phase(table, energy_au, z_end_min, z)))
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,
                             energy_au=energy_au, z_start=z_start,
@@ -368,25 +350,19 @@ def solve_reflection(table: PotentialTable, energy_au: float,
 @dataclass
 class SweepPoint:
     energy_au: float
-    height_m: float | None
+    height_m: float
     result: ReflectionResult | None
     error: str | None = None
 
 
-def reflection_sweep(table: PotentialTable,
-                     energies_au=None, heights_m=None) -> list[SweepPoint]:
-    """Solve per energy (or free-fall height), in input order.
+def reflection_sweep(table: PotentialTable, heights_m) -> list[SweepPoint]:
+    """Solve per free-fall height, in input order.
 
     Per-point failures are recorded without aborting the sweep.  Results are
     deterministic functions of (table, energy), independent of the
     order in which points are run.
     """
-    if (energies_au is None) == (heights_m is None):
-        raise ValueError("give exactly one of energies_au or heights_m")
-    if heights_m is not None:
-        pairs = [(CONSTANTS.energy_au_from_height(h), h) for h in heights_m]
-    else:
-        pairs = [(e, None) for e in energies_au]
+    pairs = [(CONSTANTS.energy_au_from_height(h), h) for h in heights_m]
     points: list[SweepPoint] = []
     for energy, height in pairs:
         try:

@@ -85,8 +85,7 @@ def sweep_json(points) -> dict:
     rows = []
     errors = []
     for pt in points:
-        e_nev = pt.energy_au * CONSTANTS.hartree_neV
-        h = pt.height_m if pt.height_m is not None else e_nev / CONSTANTS.mg
+        h, e_nev = pt.height_m, pt.energy_au * CONSTANTS.hartree_neV
         r = pt.result
         if r is None:
             rows.append([h, e_nev, None, None, None, None, None])

@@ -11,6 +11,7 @@ two versions of the code, say) test the same inputs.
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import settings
 
 import qrmirror
-from qrmirror.optics import graphene_sheet, load_builtin
-from qrmirror.potential import MirrorSpec, PotentialTable, build_solver_table
+from qrmirror.cli import _mirror_registry
+from qrmirror.potential import PotentialTable, build_solver_table
 
 settings.register_profile("derandomized", derandomize=True, database=None)
 settings.load_profile("derandomized")
@@ -51,43 +52,28 @@ def run_cli():
 
 
 @pytest.fixture(scope="session")
-def pc_table():
-    return build_solver_table(MirrorSpec.perfect_conductor())
+def registry_table():
+    """Callable: row name of ``cli._mirror_registry()`` -> the solver table
+    of that mirror, the one ``reproduce`` builds, built on first use and
+    at most once per session."""
+    mirrors = _mirror_registry()
+    return functools.cache(lambda name: build_solver_table(mirrors[name]))
 
 
-@pytest.fixture(scope="session")
-def silicon_table():
-    return build_solver_table(MirrorSpec.bulk(load_builtin("silicon")))
+def _registry_fixture(name: str):
+    def table(registry_table):
+        return registry_table(name)
+    return pytest.fixture(scope="session")(table)
 
 
-@pytest.fixture(scope="session")
-def silica_table():
-    return build_solver_table(MirrorSpec.bulk(load_builtin("silica")))
-
-
-@pytest.fixture(scope="session")
-def slab_table():
-    return build_solver_table(MirrorSpec.slab_nm(load_builtin("silica"), 5.0))
-
-
-@pytest.fixture(scope="session")
-def graphene_table():
-    return build_solver_table(MirrorSpec.conducting_sheet(graphene_sheet()))
-
-
-@pytest.fixture(scope="session")
-def nanodiamond_table():
-    return build_solver_table(MirrorSpec.porous(load_builtin("diamond"), 0.95))
-
-
-@pytest.fixture(scope="session")
-def porous_silicon_table():
-    return build_solver_table(MirrorSpec.porous(load_builtin("silicon"), 0.95))
-
-
-@pytest.fixture(scope="session")
-def aerogel_table():
-    return build_solver_table(MirrorSpec.porous(load_builtin("silica"), 0.98))
+pc_table = _registry_fixture("perfect_conductor")
+silicon_table = _registry_fixture("silicon")
+silica_table = _registry_fixture("silica")
+slab_table = _registry_fixture("silica_slab_5nm")
+graphene_table = _registry_fixture("graphene")
+nanodiamond_table = _registry_fixture("nanodiamond_p95")
+porous_silicon_table = _registry_fixture("porous_silicon_p95")
+aerogel_table = _registry_fixture("silica_aerogel_p98")
 
 
 @pytest.fixture(scope="session")

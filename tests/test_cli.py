@@ -67,6 +67,9 @@ def test_non_finite_grid_or_thickness_exits_2(run_cli, tmp_path, argv):
     (["reflect", "--mirror", "silica", "--height-cm", "nan"], "finite"),
     (["reflect", "--mirror", "silica", "--height-cm", "inf"], "finite"),
     (["potential", "--mirror", "silica", "--porosity", "1"], "not a mirror"),
+    (["potential", "--mirror", "silica", "--points", "8"], "need"),
+    (["potential", "--mirror", "silica", "--z-min-a0", "10", "--z-max-a0", "1"],
+     "need"),
 ])
 def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qrmirror import lifetimes
 from qrmirror.constants import CONSTANTS
 from qrmirror.lifetimes import (
     ExtractionError,
@@ -66,16 +67,13 @@ def test_positive_im_a_rejected():
         gqs_lifetime(bad)
 
 
-def test_extraction_retries_then_fails_outside_linear_regime(pc_table):
+def test_extraction_retries_then_fails_outside_linear_regime(pc_table,
+                                                            monkeypatch):
     # heights so large that 4 k |Im a| is O(1): first attempt fails the
     # linearity check, the retry at 10x lower heights still fails
+    monkeypatch.setattr(lifetimes, "_HEIGHTS_M", (0.05, 0.20))
     with pytest.raises(ExtractionError):
-        scattering_length(pc_table, heights_m=(0.05, 0.20))
-
-
-def test_extraction_height_validation(pc_table):
-    with pytest.raises(ValueError):
-        scattering_length(pc_table, heights_m=(1e-6, 1e-7))
+        scattering_length(pc_table)
 
 
 def test_porosity_monotonicity():

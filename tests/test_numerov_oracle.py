@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from qrmirror import numerov
 from qrmirror.constants import CONSTANTS
 from qrmirror.lifetimes import scattering_length
 from qrmirror.numerov import numerov_reflection
@@ -64,12 +65,12 @@ def test_window_ending_at_the_table_end():
         numerov_reflection(tab, E30, tab.z_max * (1 - 1e-8), tab.z_max)
 
 
-def test_oracle_self_convergence(pure_c4_table):
+def test_oracle_self_convergence(pure_c4_table, monkeypatch):
     res = solve_reflection(pure_c4_table, E30)
-    coarse = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end,
-                                points_per_wavelength=60)
-    fine = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end,
-                              points_per_wavelength=200)
+    monkeypatch.setattr(numerov, "_POINTS_PER_WAVELENGTH", 60)
+    coarse = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end)
+    monkeypatch.setattr(numerov, "_POINTS_PER_WAVELENGTH", 200)
+    fine = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end)
     assert coarse.r_magnitude == pytest.approx(fine.r_magnitude, abs=2e-5)
 
 

@@ -74,17 +74,14 @@ def test_potential_table(tmp_path, coefficient, exponent):
         coefficient, rel=1e-9)
 
 
-def test_sweep_with_a_failed_point_and_a_point_given_by_energy(tmp_path,
-                                                              c4_table):
-    energy = CONSTANTS.energy_au_from_height(0.1)
-    points = (reflection_sweep(c4_table, heights_m=[0.3, 1e-8])
-              + reflection_sweep(c4_table, energies_au=[energy]))
+def test_sweep_with_a_failed_point(tmp_path, c4_table):
+    points = reflection_sweep(c4_table, [0.3, 1e-8, 0.1])
     assert [p.result is None for p in points] == [False, True, False]
     comments, rows, payload = _both(tmp_path, reporting.sweep_csv,
                                     reporting.sweep_json, points)
     _assert_rows_agree(rows, payload, missing="nan")
     assert payload["rows"][1][2:] == [None] * 5
-    assert payload["rows"][2][0] == pytest.approx(0.1, rel=1e-12)
+    assert [row[0] for row in payload["rows"]] == [0.3, 1e-8, 0.1]
     assert comments == [f"# error at h_m={e['h_m']:.6e}: {e['error']}"
                         for e in payload["errors"]]
     assert [e["h_m"] for e in payload["errors"]] == [1e-8]
