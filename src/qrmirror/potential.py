@@ -1,18 +1,22 @@
 """Zero-temperature Casimir-Polder potential of a ground-state atom above
 planar mirrors, tabulated on a log grid with asymptotic coefficients.
 
-The potential is a double quadrature over imaginary frequency xi and the
-transverse variable kappa >= 1 (atomic units, alpha-hat in volume units):
+The potential is a Laplace transform over q >= 0, the imaginary wave vector
+normal to the mirror (atomic units, alpha-hat in volume units):
 
-    V(z) = -(1/(2 pi c^3)) Int_0^inf dxi xi^3 alpha(i xi)
-                Int_1^inf dkappa e^{-2 kappa xi z / c}
-                       [ (2 kappa^2 - 1) r_TM - r_TE ]
+    V(z) = -(1/(2 pi c^2)) Int_0^inf dq e^{-2 q z} F(q)
+    F(q) = Int_0^{cq} dxi alpha(i xi) [ (2 c^2 q^2 - xi^2) r_TM
+                                         - xi^2 r_TE ],   kappa = cq/xi
 
-Both integrals are evaluated as arrays.  The kappa integral is a fixed
-Gauss-Legendre rule on geometric panels; the xi integral is a 21-point
-Gauss-Kronrod rule applied to all of its panels in one numpy pass, with
-only the panels over the error budget bisected and passed again.  Each pass
-evaluates the reflection amplitudes once, on every (xi, kappa) node pair.
+which is the (xi, kappa) double integral with q = kappa xi / c and the two
+integrals swapped (cf. Dufour et al., PRA 87, 012901, 2013).  F does not
+depend on z, so a table evaluates it once per q node and every z is one
+row of a matrix product.  The q rule is a 21-point Gauss-Kronrod rule on
+panels of ln q; the finite xi range of each F is split into decades of
+ln xi, and all panels of a block of q nodes go through one vectorised
+Gauss-Kronrod pass, with only the panels over budget bisected and passed
+again.  Each pass evaluates the reflection amplitudes once, on every
+(xi, kappa) node pair.
 
 The overall constant is not taken on trust: it is locked by two anchors that
 the perfect-conductor potential must reproduce simultaneously,
@@ -46,8 +50,6 @@ from .optics import (
 )
 
 _C = CONSTANTS.c_au
-_EXP_CUT = 60.0          # e^{-60} ~ 9e-27: kappa integral truncation
-_GL_NODES, _GL_WEIGHTS = leggauss(24)
 
 
 class QuadratureError(RuntimeError):
@@ -153,7 +155,7 @@ class MirrorSpec:
     def reflection(self, xi, kappa):
         """(r_TM, r_TE) at imaginary frequency xi and transverse kappa >= 1.
 
-        Not defined for the perfect conductor, whose kernel is closed-form.
+        Not defined for the perfect conductor, whose F(q) is closed-form.
         """
         if self.kind == "sheet":
             return sheet_reflection(self.sheet, xi, kappa)
@@ -163,80 +165,9 @@ class MirrorSpec:
 
 
 # ---------------------------------------------------------------------------
-# kappa kernels:  K(xi, a) = Int_1^inf dkappa e^{-a kappa} G(xi, kappa),
-# with G = (2 kappa^2 - 1) r_TM - r_TE and a = 2 xi z / c.  Every function
-# here takes arrays: one call serves all xi nodes of a quadrature pass.
-
-
-def _kernel_perfect_conductor(a):
-    """Closed form for r_TM = 1, r_TE = -1: Int 2 kappa^2 e^{-a kappa}."""
-    return 2.0 * np.exp(-a) * (a * a + 2.0 * a + 2.0) / a**3
-
-
-def _kappa_panels(a):
-    """(u0, u_max, count) of the geometric u = kappa - 1 panels of each a.
-
-    Panels grow by factor 3 from u0 up to the exponential cutoff 60/a, so
-    every algebraic variation scale of the reflection amplitudes and the
-    exponential decay scale are resolved log-uniformly.
-    """
-    u_max = _EXP_CUT / a
-    u0 = np.minimum(0.25, u_max / 8.0)
-    count = 1 + np.maximum(0.0, np.ceil(np.log(u_max / u0) / math.log(3.0)))
-    return u0, u_max, count.astype(np.intp)
-
-
-def _kappa_nodes(u0, u_max, count):
-    """Gauss-Legendre nodes of the panels of ``_kappa_panels``, ragged.
-
-    Returns (owner, kappa, weight): the nodes of every a, concatenated, with
-    the index of the a each node belongs to.
-    """
-    panel_owner = np.repeat(np.arange(count.size), count)
-    first = np.cumsum(count) - count
-    j = np.arange(panel_owner.size) - np.repeat(first, count)
-    upper = np.minimum(u0[panel_owner] * 3.0**j, u_max[panel_owner])
-    lower = np.empty_like(upper)
-    lower[1:] = upper[:-1]
-    lower[first] = 0.0
-    half = 0.5 * (upper - lower)
-    mid = 0.5 * (upper + lower)
-    kappa = 1.0 + mid[:, None] + half[:, None] * _GL_NODES
-    weight = half[:, None] * _GL_WEIGHTS
-    return (np.repeat(panel_owner, _GL_NODES.size), kappa.ravel(),
-            weight.ravel())
-
-
-def _kernel(mirror: MirrorSpec, xi, a):
-    """K(xi, a) on arrays of xi and a = 2 xi z / c.
-
-    The ragged (xi, kappa) node set is processed in blocks of about
-    _BLOCK_PAIRS pairs, which bounds memory and keeps each block in cache.
-    """
-    if mirror.kind == "perfect_conductor":
-        return _kernel_perfect_conductor(a)
-    u0, u_max, count = _kappa_panels(a)
-    ends = np.cumsum(count * _GL_NODES.size)
-    out = np.empty_like(a)
-    start = 0
-    while start < a.size:
-        done = ends[start - 1] if start else 0
-        stop = max(start + 1,
-                   int(np.searchsorted(ends, done + _BLOCK_PAIRS, "right")))
-        owner, kappa, w = _kappa_nodes(u0[start:stop], u_max[start:stop],
-                                       count[start:stop])
-        r_tm, r_te = mirror.reflection(xi[start:stop][owner], kappa)
-        g = (2.0 * kappa * kappa - 1.0) * r_tm - r_te
-        out[start:stop] = np.bincount(
-            owner, weights=w * np.exp(-a[start:stop][owner] * kappa) * g,
-            minlength=stop - start)
-        start = stop
-    return out
-
-
-# ---------------------------------------------------------------------------
-# xi quadrature: 21-point Gauss-Kronrod rule with its embedded 10-point Gauss
-# rule (the pair of QUADPACK's qk21), applied to a whole set of panels at once
+# xi quadrature of F(q): 21-point Gauss-Kronrod rule with its embedded
+# 10-point Gauss rule (the pair of QUADPACK's qk21), applied to the panels of
+# a whole block of q nodes at once
 
 
 # Kronrod nodes on [0, 1] and their weights; the odd-indexed nodes are the
@@ -261,110 +192,140 @@ _GK_W = np.concatenate([_GK_W[:-1], _GK_W[::-1]])
 _G_W = np.zeros_like(_GK_W)
 _G_W[1::2] = leggauss(10)[1]
 
-_PANEL_RTOL = 1e-11    # budget of |K21 - G10| per panel, relative to the total
-_NEGLIGIBLE = 1e-11    # a tail decade below this share of the total ends it
+_PANEL_RTOL = 1e-11    # budget of |K21 - G10| per xi panel, relative to its F(q)
 # Refinement stops after _MAX_ROUNDS bisection rounds, or once more than
 # _MAX_PANELS panels are pending; the panels still over budget then count
 # with their error estimates, which QuadratureError reports.
 _MAX_ROUNDS = 40
 _MAX_PANELS = 1024
-_TARGET_REL = 1e-6     # relative accuracy that cp_potential_point must reach
-_BLOCK_PAIRS = 8192    # (xi, kappa) pairs per kernel block
+_TARGET_REL = 1e-6     # relative accuracy that every V(z) must reach
+# The q rule spans [_Q_LO/z_max, _Q_HI/z_min].  Below the cut F grows at
+# least as q^2, so V(z) loses at most (4/3)(_Q_LO z/z_max)^3 ~ 1e-18 of
+# itself; above it e^{-2qz} <= e^{-100}.
+_Q_LO, _Q_HI = 1e-6, 50.0
+_BLOCK = 32            # q nodes per F evaluation, z rows per e^{-2qz} block
 _LN10 = math.log(10.0)
 
 
-def _gauss_kronrod(f, lo, hi, log):
-    """Per-panel integrals of f over xi and the summed |K21 - G10|.
+def _gauss_kronrod(f, lo, hi, log, owner, n):
+    """Integrals over xi of n owners and their summed |K21 - G10|.
 
-    Panel i spans [lo[i], hi[i]] in s = ln xi where log[i], else in xi.
-    f is evaluated once per bisection round, on every node of that round.
-    Panels over budget are bisected until all pass or refinement stops.
+    Panel i belongs to owner[i] and spans [lo[i], hi[i]] in s = ln xi where
+    log[i], else in xi.  f(xi, owner) is evaluated once per bisection round,
+    on every node of that round.  A panel passes when its |K21 - G10| is
+    within _PANEL_RTOL of its owner's total; the others are bisected until
+    all pass or refinement stops.
     """
-    n = lo.size
-    origin = np.arange(n)
     values = np.zeros(n)
-    err = 0.0
+    err = np.zeros(n)
     for rnd in range(_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
         t = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
         xi = np.where(log[:, None], np.exp(t), t)
-        fx = f(xi.ravel()).reshape(xi.shape)
+        fx = f(xi, owner[:, None])
         fx *= np.where(log[:, None], xi, 1.0) * half[:, None]
         k = fx @ _GK_W
         e = np.abs(k - fx @ _G_W)
-        total = values.sum() + k.sum()
-        ok = e <= _PANEL_RTOL * abs(total)
-        if (rnd == _MAX_ROUNDS - 1 or lo.size > _MAX_PANELS
-                or not math.isfinite(total)):
+        total = np.abs(values + np.bincount(owner, weights=k, minlength=n))[owner]
+        ok = (e <= _PANEL_RTOL * total) | ~np.isfinite(total)
+        if rnd == _MAX_ROUNDS - 1 or lo.size > _MAX_PANELS:
             ok[:] = True
-        values += np.bincount(origin[ok], weights=k[ok], minlength=n)
-        err += float(e[ok].sum())
+        values += np.bincount(owner[ok], weights=k[ok], minlength=n)
+        err += np.bincount(owner[ok], weights=e[ok], minlength=n)
         if ok.all():
             break
         bad = ~ok
-        lo, hi, log, origin = lo[bad], hi[bad], log[bad], origin[bad]
+        lo, hi, log, owner = lo[bad], hi[bad], log[bad], owner[bad]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        log, origin = np.tile(log, 2), np.tile(origin, 2)
+        log, owner = np.tile(log, 2), np.tile(owner, 2)
     return values, err
 
 
-# ---------------------------------------------------------------------------
-# potential at a point
+def _f_of_q(mirror: MirrorSpec, q):
+    """F(q) and its xi error estimate (summed |K21 - G10|) on q nodes.
+
+    The xi range [0, cq] of each q is split into panels: [0, min(lo, cq)] in
+    xi, then decades in s = ln xi from lo up to cq, where lo is 0.3 times
+    the smallest response scale (atom and mirror).  The perfect conductor's
+    F is closed-form: 2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
+    """
+    alpha = DEFAULT_POLARIZABILITY
+    x = _C * q
+    if mirror.kind == "perfect_conductor":
+        f = sum(s * w * np.arctan(x / w) for s, w in alpha.oscillators)
+        return 2.0 * x * x * f, np.zeros_like(q)
+    scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
+    s_lo = math.log(0.3 * min(scales))
+    s_x = np.log(x)
+    count = 1 + np.maximum(0.0, np.ceil((s_x - s_lo) / _LN10)).astype(np.intp)
+    owner = np.repeat(np.arange(q.size), count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    log = j > 0
+    lo = np.where(log, s_lo + (j - 1) * _LN10, 0.0)
+    hi = np.where(log, np.minimum(s_lo + j * _LN10, s_x[owner]),
+                  np.minimum(math.exp(s_lo), x[owner]))
+
+    def integrand(xi, owner):
+        xq = x[owner]
+        r_tm, r_te = mirror.reflection(xi, xq / xi)
+        xi2 = xi * xi
+        return alpha.alpha(xi) * ((2.0 * xq * xq - xi2) * r_tm - xi2 * r_te)
+
+    return _gauss_kronrod(integrand, lo, hi, log, owner, q.size)
+
+
+def _potential(mirror: MirrorSpec, z):
+    """V in Hartree on an array of z (a0), by one q rule for all of them.
+
+    q runs over [_Q_LO/z_max, _Q_HI/z_min] on panels of width <= 1 in ln q,
+    each with the 21-point Gauss-Kronrod rule.  F is evaluated once per q
+    node; each z is then one row of e^{-2qz} times the weighted F.  The
+    error estimate of each z is the q rule's summed |K21 - G10| plus the
+    xi errors of F carried through the same row; if it exceeds _TARGET_REL
+    of |V| (or is not finite) QuadratureError reports it.
+    """
+    t_lo, t_hi = math.log(_Q_LO / z.max()), math.log(_Q_HI / z.min())
+    n = math.ceil(t_hi - t_lo)
+    half = 0.5 * (t_hi - t_lo) / n
+    t = t_lo + (2.0 * np.arange(n) + 1.0)[:, None] * half + half * _GK_X
+    q = np.exp(t).ravel()
+    w_k = half * q * np.tile(_GK_W, n)
+    w_g = half * q * np.tile(_G_W, n)
+    f = np.empty_like(q)
+    f_err = np.empty_like(q)
+    for i in range(0, q.size, _BLOCK):
+        f[i:i + _BLOCK], f_err[i:i + _BLOCK] = _f_of_q(mirror, q[i:i + _BLOCK])
+    wf, dwf, werr = w_k * f, (w_k - w_g) * f, w_k * f_err
+    v = np.empty_like(z)
+    err = np.empty_like(z)
+    for i in range(0, z.size, _BLOCK):
+        e = np.exp(-2.0 * z[i:i + _BLOCK, None] * q)
+        v[i:i + _BLOCK] = e @ wf
+        q_err = (e * dwf).reshape(-1, n, _GK_X.size).sum(axis=2)
+        err[i:i + _BLOCK] = np.abs(q_err).sum(axis=1) + e @ werr
+    bad = ~(err <= _TARGET_REL * np.abs(v))
+    if bad.any():
+        i = int(np.argmax(bad))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = err[i] / np.abs(v[i])
+        raise QuadratureError(
+            f"{mirror.label} at z = {z[i]:g} a0: quadrature achieved relative "
+            f"error {rel:.2e} > {_TARGET_REL:g}")
+    return -v / (2.0 * math.pi * _C**2)
 
 
 def cp_potential_point(mirror: MirrorSpec, z_au: float) -> float:
     """CP potential V(z) in Hartree at distance z (a0) from the mirror.
 
-    The xi integral is split into panels: [0, lo] in xi, then decades in
-    s = ln xi from lo up to hi, then decades of the tail beyond hi, where
-    lo and hi are 0.3 and 30 times the smallest and largest response scale
-    (atom, mirror and c/2z).  All panels go through one vectorised 21-point
-    Gauss-Kronrod pass; those whose |K21 - G10| is over budget are bisected
-    and evaluated again, together, until every panel passes.  Since c/2z is
-    a scale, a = 2 xi z / c >= 30 at hi, so the tail is damped by
-    e^{-a} <= 1e-13: its decades are summed until one adds less than
-    1e-11 of the total.  Raises QuadratureError with the achieved error
-    estimate (the summed |K21 - G10|) if the relative accuracy _TARGET_REL
-    = 1e-6 cannot be met.  The atom is DEFAULT_POLARIZABILITY.
+    The one-z case of the table path: the q rule spans [1e-6/z, 50/z].
+    Raises QuadratureError with the achieved error estimate if the relative
+    accuracy _TARGET_REL = 1e-6 cannot be met.  The atom is
+    DEFAULT_POLARIZABILITY.
     """
     if not 0 < z_au < math.inf:
         raise ValueError(f"distance must be positive and finite, got {z_au}")
-    alpha = DEFAULT_POLARIZABILITY
-
-    def integrand(xi):
-        a = 2.0 * xi * z_au / _C
-        return xi**3 * alpha.alpha(xi) * _kernel(mirror, xi, a)
-
-    # Decade-wise panels between the smallest and largest response scales:
-    # the integrand is smooth but its mass can hide in a narrow log-window,
-    # which a coarse rule over many decades is free to miss.
-    scales = [w for _, w in alpha.oscillators]
-    scales += mirror.response_scales_au()
-    scales.append(_C / (2.0 * z_au))
-    lo = 0.3 * min(scales)
-    hi = 30.0 * max(scales)
-    # panel i > 0 spans [s_edges[i-1], s_edges[i]]; the last is [hi, 10 hi]
-    s_edges = np.append(np.arange(math.log(lo), math.log(hi), _LN10),
-                        [math.log(hi), math.log(hi) + _LN10])
-    values, err = _gauss_kronrod(
-        integrand, np.append(0.0, s_edges[:-1]), np.append(lo, s_edges[1:]),
-        np.arange(s_edges.size) > 0)
-    total = float(values.sum())
-    tail, s_tail = values[-1], s_edges[-1]
-    while abs(tail) > _NEGLIGIBLE * abs(total):
-        (tail,), e = _gauss_kronrod(integrand, np.array([s_tail]),
-                                    np.array([s_tail + _LN10]),
-                                    np.array([True]))
-        total += tail
-        err += e
-        s_tail += _LN10
-    if not math.isfinite(total) or (total != 0 and err / abs(total) > _TARGET_REL):
-        raise QuadratureError(
-            f"xi quadrature at z = {z_au:g} a0 achieved relative error "
-            f"{err / abs(total) if total else math.inf:.2e} > {_TARGET_REL:g}"
-        )
-    return -total / (2.0 * math.pi * _C**3)
+    return float(_potential(mirror, np.array([float(z_au)]))[0])
 
 
 def retarded_coefficient() -> float:
@@ -594,8 +555,7 @@ class PotentialTable:
 
     @classmethod
     def from_power_law(cls, coefficient: float, exponent: float,
-                       z_lo: float = 1e-2, z_hi: float = 1e6,
-                       n_points: int = 200):
+                       z_lo: float, z_hi: float, n_points: int):
         """Synthetic pure power-law table V = -coefficient / z^exponent."""
         z = np.geomspace(z_lo, z_hi, n_points)
         v = -coefficient / z**exponent
@@ -617,12 +577,7 @@ def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
     if n_points < 16:
         raise ValueError("need n_points >= 16")
     z = np.geomspace(z_lo, z_hi, n_points)
-    v = np.empty_like(z)
-    for i, zi in enumerate(z):
-        try:
-            v[i] = cp_potential_point(mirror, zi)
-        except QuadratureError as exc:
-            raise QuadratureError(f"{mirror.label} at z = {zi:g} a0: {exc}") from exc
+    v = _potential(mirror, z)
     return PotentialTable(z, v, label=mirror.label)
 
 

@@ -14,7 +14,7 @@ import inspect
 from qrmirror import lifetimes, numerov, potential, reflection
 
 # the count ROADMAP aim 2 states
-SETTABLE_VALUES = 17
+SETTABLE_VALUES = 14
 
 
 def _defaulted_parameters(func) -> list[str]:

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from qrmirror.cli import _mirror_registry
 from qrmirror.constants import CONSTANTS
 from qrmirror.optics import (
     DEFAULT_POLARIZABILITY,
     SheetModel,
+    fresnel,
     graphene_sheet,
     load_builtin,
 )
@@ -177,15 +179,38 @@ def test_unreachable_accuracy_target_reports_estimate(monkeypatch):
         cp_potential_point(PC, 1.0)
 
 
-def test_tail_and_refinement_limits_leave_the_value(monkeypatch):
+def test_q_cut_and_refinement_limits_leave_the_value(monkeypatch):
     from qrmirror import potential
-    v = cp_potential_point(PC, 1e2)
-    # every tail decade is summed until e^{-a} underflows to exactly 0
-    monkeypatch.setattr(potential, "_NEGLIGIBLE", 0.0)
-    assert cp_potential_point(PC, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
-    # no panel ever meets a zero budget: refinement stops at the panel cap
+    silica = MirrorSpec.bulk(_SILICA)
+    v = cp_potential_point(silica, 1e2)
+    # a 100x lower q cut adds nothing the q rule resolves
+    monkeypatch.setattr(potential, "_Q_LO", potential._Q_LO / 100.0)
+    assert cp_potential_point(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+    monkeypatch.undo()
+    # no xi panel ever meets a zero budget: refinement stops at the panel cap
     monkeypatch.setattr(potential, "_PANEL_RTOL", 0.0)
-    assert cp_potential_point(PC, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+    assert cp_potential_point(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+
+
+def test_amplitude_pairs_per_table_are_few_and_grid_independent(monkeypatch):
+    # amplitude pairs counted at the layer boundary, weighted by array size:
+    # F(q) is evaluated once per q node, whatever the number of table points
+    pairs = []
+    reflection = MirrorSpec.reflection
+
+    def counted(self, xi, kappa):
+        pairs.append(np.broadcast(xi, kappa).size)
+        return reflection(self, xi, kappa)
+
+    monkeypatch.setattr(MirrorSpec, "reflection", counted)
+    silica = MirrorSpec.bulk(_SILICA)
+    counts = []
+    for n_points in (48, 480):
+        pairs.clear()
+        build_potential_table(silica, 1e-8, 1e7, n_points)
+        counts.append(sum(pairs))
+    assert 0 < counts[1] <= 1_000_000
+    assert counts[0] == counts[1]
 
 
 def test_non_finite_integrand_raises(monkeypatch):
@@ -227,6 +252,38 @@ def test_vdw_integral_against_quadrature_small_z():
         z = 1e-4
         c3_quad = -cp_potential_point(mirror, z) * z**3
         assert c3_quad == pytest.approx(c3_closed, rel=2e-4)
+
+
+# -- closed-form C4 anchor ---------------------------------------------------
+
+
+def _c4_closed_form(mirror):
+    """Far-zone C4 = (3 c alpha(0)/16 pi) Int_0^1 ds [(2 - s^2) r_TM
+    - s^2 r_TE], the amplitudes at eps(0) and kappa = 1/s: the q -> 0 limit
+    F -> alpha(0) (cq)^3 Int_0^1 ds [...] carried through the q transform."""
+    if mirror.kind == "perfect_conductor":
+        integral = 2.0
+    else:
+        eps0 = mirror.dielectric.static_epsilon
+
+        def g(s):
+            r_tm, r_te = fresnel(eps0, 1.0 / s)
+            return (2.0 - s * s) * r_tm - s * s * r_te
+
+        integral = quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+    return (3.0 * CONSTANTS.c_au * DEFAULT_POLARIZABILITY.static
+            / (16.0 * math.pi) * integral)
+
+
+@pytest.mark.parametrize("name, c4", [
+    ("perfect_conductor", 73.6086), ("silicon", 50.2813), ("silica", 33.0240)])
+def test_far_zone_c4_matches_closed_form(registry_table, name, c4):
+    closed = _c4_closed_form(_mirror_registry()[name])
+    assert closed == pytest.approx(c4, abs=1e-4)
+    table = registry_table(name)
+    assert table.z_max == 1e7
+    assert -table.V[-1] * table.z_max**4 == pytest.approx(closed, rel=1e-5)
+    assert table.c4 == pytest.approx(closed, rel=2e-4)
 
 
 # -- tables ------------------------------------------------------------------
