@@ -23,6 +23,7 @@ from .optics import (
     builtin_material_names,
     builtin_material_path,
     graphene_sheet,
+    key_value_lines,
     load_builtin,
     load_material_file,
     material_file_kind,
@@ -50,60 +51,62 @@ class UsageError(ValueError):
 # configuration
 
 
-_OUTPUT_KEYS = {"format", "out", "no_timestamp"}
-_CONFIG_KEYS = _OUTPUT_KEYS | {
-    "mirror", "slab_nm", "porosity", "height_cm", "z_min_a0", "z_max_a0",
-    "points",
+def _yes_no(value: str) -> bool:
+    spelled = value.lower()
+    if spelled not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {value!r}")
+    return spelled in ("1", "true", "yes")
+
+
+def _format(value: str) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f"unknown format {value!r} (csv or json)")
+    return value
+
+
+# config key -> (value parser, default); main merges flag, config, default
+_CONFIG_KEYS = {
+    "mirror": (str, None),
+    "slab_nm": (float, None),
+    "porosity": (float, None),
+    "height_cm": (lambda v: [float(h) for h in v.split(",")], None),
+    "z_min_a0": (float, SOLVER_Z_LO),
+    "z_max_a0": (float, SOLVER_Z_HI),
+    "points": (int, SOLVER_POINTS),
+    "format": (_format, "csv"),
+    "out": (str, None),
+    "no_timestamp": (_yes_no, False),
 }
+_OUTPUT_KEYS = {"format", "out", "no_timestamp"}
 
 
-def _load_config(path: str) -> dict:
+def _merge_settings(args) -> None:
+    """Set every config key on ``args``: the flag unless it is None, else
+    the config file's value, else the default.  ``reproduce`` runs its own
+    mirrors, heights and grids, so its config may set only output keys."""
     cfg = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        value = value.strip()
+    path = getattr(args, "config", None)   # `material` takes no config
+    for where, key, value in key_value_lines(path, UsageError) if path else ():
+        key = key.replace("-", "_")
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key == "height_cm":
-            cfg[key] = [float(v) for v in value.split(",")]
-        elif key in ("slab_nm", "porosity", "z_min_a0", "z_max_a0"):
-            cfg[key] = float(value)
-        elif key == "points":
-            cfg[key] = int(value)
-        elif key == "no_timestamp":
-            cfg[key] = value.lower() in ("1", "true", "yes")
-        else:
-            cfg[key] = value
-    return cfg
-
-
-def _effective(args, key: str, default=None):
-    """CLI flag wins over config-file value wins over default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    cfg = getattr(args, "_config", {})
-    if key in cfg:
-        return cfg[key]
-    return default
+            raise UsageError(f"{where}: unknown config key {key!r}")
+        try:
+            cfg[key] = _CONFIG_KEYS[key][0](value)
+        except ValueError as exc:
+            raise UsageError(f"{where}: {key}: {exc}") from exc
+    ignored = sorted(set(cfg) - _OUTPUT_KEYS)
+    if args.command == "reproduce" and ignored:
+        raise UsageError("reproduce uses its own mirrors, heights and grids; "
+                         f"the config sets {', '.join(ignored)}")
+    for key, (_, default) in _CONFIG_KEYS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, cfg.get(key, default))
 
 
 def _resolve_mirror(args) -> MirrorSpec:
-    name = _effective(args, "mirror")
+    name, slab_nm, porosity = args.mirror, args.slab_nm, args.porosity
     if not name:
         raise UsageError("no mirror selected (use --mirror)")
-    slab_nm = _effective(args, "slab_nm")
-    porosity = _effective(args, "porosity")
     if slab_nm is not None and porosity is not None:
         raise UsageError("--slab-nm and --porosity are mutually exclusive")
 
@@ -132,25 +135,13 @@ def _resolve_mirror(args) -> MirrorSpec:
 
 
 def _heights_m(args) -> list[float]:
-    heights_cm = _effective(args, "height_cm")
-    if not heights_cm:
+    if not args.height_cm:
         raise UsageError("no heights given (use --height-cm)")
-    heights = [h * 1e-2 for h in heights_cm]
+    heights = [h * 1e-2 for h in args.height_cm]
     if not all(0 < h < math.inf for h in heights):
-        raise UsageError(f"heights must be positive and finite, got {heights_cm}")
+        raise UsageError("heights must be positive and finite, got "
+                         f"{args.height_cm}")
     return heights
-
-
-def _out_path(args, default_name: str) -> Path:
-    out = _effective(args, "out")
-    return Path(out) if out else Path(default_name)
-
-
-def _fmt_kind(args) -> str:
-    fmt = _effective(args, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {fmt!r} (csv or json)")
-    return fmt
 
 
 def _mirror_slug(mirror: MirrorSpec) -> str:
@@ -161,19 +152,15 @@ def _mirror_slug(mirror: MirrorSpec) -> str:
 def _table(args, mirror: MirrorSpec) -> PotentialTable:
     """The mirror's table on the grid of the flags/config, else the solver
     grid; build_potential_table validates the grid (ValueError: exit 2)."""
-    return build_potential_table(mirror,
-                                 _effective(args, "z_min_a0", SOLVER_Z_LO),
-                                 _effective(args, "z_max_a0", SOLVER_Z_HI),
-                                 _effective(args, "points", SOLVER_POINTS))
+    return build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
+                                 args.points)
 
 
 def _emit(args, stem: str, write_csv, make_json, *data) -> None:
     """Write ``data`` as CSV or JSON (per --format) and report the path."""
-    fmt = _fmt_kind(args)
-    out = _out_path(args, f"{stem}.{fmt}")
-    if fmt == "csv":
-        stamp = not _effective(args, "no_timestamp", False)
-        write_csv(*data, out, timestamp=stamp)
+    out = Path(args.out or f"{stem}.{args.format}")
+    if args.format == "csv":
+        write_csv(*data, out, timestamp=not args.no_timestamp)
     else:
         reporting.write_json(make_json(*data), out)
     print(f"wrote {out}")
@@ -239,7 +226,7 @@ def _cmd_badlands(args) -> int:
     keys = [f"{h:g}" for h in heights]   # the report's column and peak keys
     if len(set(keys)) < len(keys):
         raise UsageError("badlands heights must differ in 6 significant "
-                         f"digits, got {_effective(args, 'height_cm')} cm")
+                         f"digits, got {args.height_cm} cm")
     table = _table(args, mirror)
     profiles = {}
     peaks = {}
@@ -270,15 +257,11 @@ def _cmd_lifetime(args) -> int:
 def load_tolerances(path=_TOLERANCES_PATH) -> dict:
     """Parse the shipped reference/tolerance data file."""
     refs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
+    for where, key, value in key_value_lines(path, ValueError):
         parts = value.split()
         if len(parts) != 3 or parts[1] not in ("rel", "abs"):
-            raise ValueError(f"{path}:{lineno}: expected 'ref rel|abs tol'")
-        refs[key.strip()] = (float(parts[0]), parts[1], float(parts[2]))
+            raise ValueError(f"{where}: expected 'ref rel|abs tol'")
+        refs[key] = (float(parts[0]), parts[1], float(parts[2]))
     return refs
 
 
@@ -417,10 +400,6 @@ def _reproduce_fig2(tables, refs) -> list[dict]:
 
 
 def _cmd_reproduce(args) -> int:
-    ignored = sorted(set(args._config) - _OUTPUT_KEYS)
-    if ignored:
-        raise UsageError("reproduce uses its own mirrors, heights and grids; "
-                         f"the config sets {', '.join(ignored)}")
     refs = load_tolerances()
     builder = {
         "table1": _reproduce_table1,
@@ -506,11 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config = _load_config(config_path) if config_path else {}
+        _merge_settings(args)
         return args.func(args)
     except (QuadratureError, SolveError, ExtractionError,
             ArithmeticError) as exc:

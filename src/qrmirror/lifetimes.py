@@ -62,37 +62,29 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
     the wavevectors satisfy k2 = 2 k1 and the Richardson extrapolation
     2*est(k1) - est(k2) removes the O(k) correction.  If the two
     single-energy estimates differ by more than _LINEARITY_TOL (5%) the
-    extraction retries once at 10x smaller heights, then fails.
+    extraction fails.  The perfect conductor, the strongest potential,
+    reaches 0.13%.
     """
     if table.is_null:
         return ScatteringLength(a=0.0j, source_energies_au=(0.0, 0.0),
                                 estimates=(0.0, 0.0), linear_deviation=0.0)
-    # one retry at 10x smaller heights if the first pair is not linear
     h1, h2 = _HEIGHTS_M
-    for h1, h2 in ((h1, h2), (h1 / 10.0, h2 / 10.0)):
-        energies = (CONSTANTS.energy_au_from_height(h1),
-                    CONSTANTS.energy_au_from_height(h2))
-        estimates = []
-        for energy in energies:
-            res = solve_reflection(table, energy)
-            k = math.sqrt(2.0 * _M * energy)
-            estimates.append(res.loss / (4.0 * k))
-        e1, e2 = estimates
-        scale = max(abs(e1), abs(e2))
-        if scale == 0.0:
-            return ScatteringLength(a=0.0j, source_energies_au=energies,
-                                    estimates=(e1, e2), linear_deviation=0.0)
-        deviation = abs(e1 - e2) / scale
-        if deviation <= _LINEARITY_TOL:
-            break
-    else:
+    energies = (CONSTANTS.energy_au_from_height(h1),
+                CONSTANTS.energy_au_from_height(h2))
+    k1, k2 = (math.sqrt(2.0 * _M * energy) for energy in energies)
+    e1, e2 = (solve_reflection(table, energy).loss / (4.0 * k)
+              for energy, k in zip(energies, (k1, k2)))
+    scale = max(abs(e1), abs(e2))
+    if scale == 0.0:
+        return ScatteringLength(a=0.0j, source_energies_au=energies,
+                                estimates=(e1, e2), linear_deviation=0.0)
+    deviation = abs(e1 - e2) / scale
+    if deviation > _LINEARITY_TOL:
         raise ExtractionError(
             f"{table.label}: threshold estimates differ by {deviation:.1%} "
             f"(> {_LINEARITY_TOL:.0%}) at h = {h1:g}, {h2:g} m: "
             f"not in the linear regime"
         )
-    k1 = math.sqrt(2.0 * _M * energies[0])
-    k2 = math.sqrt(2.0 * _M * energies[1])
     im_a = (k2 * e1 - k1 * e2) / (k2 - k1)   # extrapolated to k -> 0
     return ScatteringLength(a=complex(0.0, -im_a),
                             source_energies_au=energies,

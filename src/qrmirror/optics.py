@@ -207,54 +207,59 @@ def bruggeman_mix(host: DielectricModel, porosity: float, xi):
     return float(eps_eff)
 
 
-def _parse_material_file(path) -> tuple[str, DielectricModel]:
-    """(kind tag, model) of a material file; see ``load_material_file``."""
-    path = Path(path)
-    name = None
-    kind = "dielectric"
-    oscillators: list[Oscillator] = []
+def key_value_lines(path, error=MaterialFileError):
+    """(``path:lineno``, lower-cased key, value) of each ``key = value`` line;
+    ``#`` starts a comment.  An unreadable file, or a line without ``=``,
+    raises ``error``.  Material, config and tolerance files use it."""
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise MaterialFileError(f"{path}: {exc}") from exc
+        raise error(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise MaterialFileError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{path}:{lineno}: expected 'key = value'")
+        yield f"{path}:{lineno}", key.strip().lower(), value.strip()
+
+
+def _parse_material_file(path) -> tuple[str, DielectricModel]:
+    """(kind tag, model) of a material file; see ``load_material_file``."""
+    name = None
+    kind = "dielectric"
+    oscillators: list[Oscillator] = []
+    for where, key, value in key_value_lines(path):
         if key == "name":
             name = value
         elif key == "kind":
             # sentinel files (e.g. the perfect conductor) carry a kind tag
             # and no oscillators; the registry maps them to mirror variants.
             if value not in ("perfect_conductor", "dielectric"):
-                raise MaterialFileError(f"{path}:{lineno}: unknown kind {value!r}")
+                raise MaterialFileError(f"{where}: unknown kind {value!r}")
             kind = value
         elif key == "osc":
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
                 raise MaterialFileError(
-                    f"{path}:{lineno}: osc needs 'wp2, w02, gamma', got {value!r}"
+                    f"{where}: osc needs 'wp2, w02, gamma', got {value!r}"
                 )
             try:
                 wp2, w02, gamma = (float(p) for p in parts)
             except ValueError as exc:
-                raise MaterialFileError(f"{path}:{lineno}: {exc}") from exc
+                raise MaterialFileError(f"{where}: {exc}") from exc
             try:
                 osc = Oscillator(wp2, w02, gamma)
                 osc.validate()
             except MaterialFileError as exc:
-                raise MaterialFileError(f"{path}:{lineno}: {exc}") from exc
+                raise MaterialFileError(f"{where}: {exc}") from exc
             oscillators.append(osc)
         else:
-            raise MaterialFileError(f"{path}:{lineno}: unknown key {key!r}")
+            raise MaterialFileError(f"{where}: unknown key {key!r}")
         if kind == "perfect_conductor" and oscillators:
             raise MaterialFileError(
-                f"{path}:{lineno}: a perfect_conductor file takes no osc lines")
+                f"{where}: a perfect_conductor file takes no osc lines")
     if name is None:
         raise MaterialFileError(f"{path}: missing 'name' entry")
     return kind, DielectricModel(name=name, oscillators=tuple(oscillators))

@@ -294,8 +294,12 @@ def _potential(mirror: MirrorSpec, z):
     w_g = half * q * np.tile(_G_W, n)
     f = np.empty_like(q)
     f_err = np.empty_like(q)
-    for i in range(0, q.size, _BLOCK):
-        f[i:i + _BLOCK], f_err[i:i + _BLOCK] = _f_of_q(mirror, q[i:i + _BLOCK])
+    # an F that overflows (say, kappa^2 of a slab far thicker than the grid
+    # is wide) is not finite, and QuadratureError reports it below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, q.size, _BLOCK):
+            f[i:i + _BLOCK], f_err[i:i + _BLOCK] = _f_of_q(mirror,
+                                                           q[i:i + _BLOCK])
     wf, dwf, werr = w_k * f, (w_k - w_g) * f, w_k * f_err
     v = np.empty_like(z)
     err = np.empty_like(z)
@@ -392,10 +396,10 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
 
     Near side targets exponent 3 (van der Waals); far side targets 4
     (retarded, bulks), then 5 (slabs).  Each side is a least-squares line
-    of ln|V| against ln z over its end decade.  A side whose exponent is
-    not within 0.05 of a target yields no coefficient but a note, and so
-    does a table narrower than 2.5 decades: the fits are a report on the
-    table and never fail.
+    of ln|V| against ln z over its end decade.  A side whose end decade
+    holds fewer than two points, or whose exponent is not within 0.05 of a
+    target, yields no coefficient but a note, and so does a table narrower
+    than 2.5 decades: the fits are a report on the table and never fail.
     """
     if table.is_null:
         return Asymptotics(notes=["null potential"])
@@ -407,6 +411,9 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
     fit = {"notes": []}
     for side, end, targets in (("near", t <= t[0] + _LN10, (3.0,)),
                                ("far", t >= t[-1] - _LN10, (4.0, 5.0))):
+        if np.count_nonzero(end) < 2:
+            fit["notes"].append(f"{side} decade holds one point: no fit")
+            continue
         exponent = -float(np.polyfit(t[end], w[end], 1)[0])
         fit[f"{side}_exponent"] = exponent
         for p in targets:
@@ -576,6 +583,16 @@ def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
         raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")
     if n_points < 16:
         raise ValueError("need n_points >= 16")
+    # the report's reference -C4*/z^4 must be a normal float at both bounds
+    # (about 2.5e-77 to 1.2e77 a0); inside them the weighted F(q) of every
+    # shipped mirror stays finite too
+    floats = np.finfo(float)
+    with np.errstate(over="ignore", divide="ignore"):
+        v_star = -retarded_reference(np.array([z_lo, z_hi], dtype=float))
+    for name, bound, v in zip(("z_lo", "z_hi"), (z_lo, z_hi), v_star):
+        if not floats.tiny <= v <= floats.max:
+            raise ValueError(f"{name} = {bound:g} a0: C4*/z^4 = {v:g} is "
+                             "not a normal float")
     z = np.geomspace(z_lo, z_hi, n_points)
     v = _potential(mirror, z)
     return PotentialTable(z, v, label=mirror.label)

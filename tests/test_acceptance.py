@@ -15,9 +15,10 @@ import pytest
 from qrmirror import reflection
 from qrmirror.cli import _mirror_registry, load_tolerances
 from qrmirror.constants import CONSTANTS
-from qrmirror.lifetimes import scattering_length, gqs_lifetime
+from qrmirror.lifetimes import gqs_lifetime, lifetime_for_table, scattering_length
 from qrmirror.numerov import numerov_reflection
-from qrmirror.potential import PotentialTable
+from qrmirror.optics import load_builtin
+from qrmirror.potential import MirrorSpec, PotentialTable, build_solver_table
 from qrmirror.reflection import (
     badlands_profile,
     badlands_q,
@@ -259,6 +260,22 @@ def test_criterion_9_badlands_structure(pc_table, silicon_table, silica_table,
                and energy_ok and mirror_ok,
                f"null={null_ok}, linear-law={linear_ok}, peak@|V|=E={peak_ok}, "
                f"height-vs-E={energy_ok}, surfaceward-for-weaker={mirror_ok}")
+
+
+def test_weaker_mirrors_reflect_more_and_keep_atoms_longer(silica_table):
+    # the paper's headline claim (Dufour et al., PRA 87, 012901 and 022506,
+    # 2013): thinner slabs reflect more, a thick slab is the bulk, and more
+    # porous media hold the gravitational states longer
+    silica = load_builtin("silica")
+    probs = [solve_reflection(build_solver_table(MirrorSpec.slab_nm(silica, d)),
+                              E30).probability for d in (1, 2, 5, 10, 20, 50)]
+    assert all(a > b for a, b in zip(probs, probs[1:])), probs
+    thick = build_solver_table(MirrorSpec.slab_nm(silica, 1000.0))
+    assert solve_reflection(thick, E30).probability == pytest.approx(
+        solve_reflection(silica_table, E30).probability, abs=1e-3)
+    taus = [lifetime_for_table(build_solver_table(MirrorSpec.porous(silica, f)))
+            .tau_s for f in (0.80, 0.90, 0.95, 0.98, 0.995)]
+    assert all(a < b for a, b in zip(taus, taus[1:])), taus
 
 
 # -- desk-scale performance gate ----------------------------------------------

@@ -3,10 +3,16 @@
 check that the CLI does not depend on the working directory.
 """
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrmirror import cli
 
@@ -254,6 +260,93 @@ def test_bad_config_key_exits_2(run_cli, tmp_path):
     cp = run_cli("potential", "--config", str(cfg),
                  "--mirror", "perfect_conductor", cwd=tmp_path)
     assert cp.returncode == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points", "abc"), ("points", "16.5"), ("no_timestamp", "maybe"),
+    ("format", "xml"), ("height_cm", "10,,20"), ("slab_nm", "5nm"),
+    ("z_min_a0", "one"),
+])
+def test_bad_config_value_exits_2_naming_file_line_and_key(
+        monkeypatch, tmp_path, capsys, key, value):
+    # values are parsed when the config is loaded, before any table is built
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(f"mirror = perfect_conductor\n{key} = {value}\n")
+    assert cli.main(["potential", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: {key}: "), err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_sparse_grid_writes_a_table_without_fits(monkeypatch, tmp_path):
+    # a step wider than a decade leaves one point per end decade
+    monkeypatch.chdir(tmp_path)
+    argv = ["potential", "--mirror", "silica", "--z-min-a0", "1",
+            "--z-max-a0", "1e40", "--points", "16", "--format", "json",
+            "--out", "sparse.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    fit = json.loads((tmp_path / "sparse.json").read_text())["fit"]
+    assert fit["near_exponent"] is None and fit["far_exponent"] is None
+
+
+_SPECIAL = [0.0, -1.0, math.nan, math.inf, -math.inf, 1e-200, 1e200]
+
+
+def _drawn(ordinary):
+    # about one draw in four is special
+    return st.one_of(st.sampled_from(_SPECIAL), *[ordinary] * 3)
+
+
+# each drawn input goes to the command line or to the config file
+_INPUTS = st.builds(
+    lambda grid, modifier: {**grid, **modifier},
+    st.fixed_dictionaries({
+        "mirror": st.sampled_from(["silica", "silica", "perfect_conductor"]),
+        "z_min_a0": _drawn(st.floats(1e-6, 10.0)),
+        "z_max_a0": _drawn(st.floats(1e3, 1e9)),
+        "points": st.integers(-5, 2000),
+    }),
+    st.one_of(st.just({}),
+              st.fixed_dictionaries({"slab_nm": _drawn(st.floats(0.1, 1e4))}),
+              st.fixed_dictionaries({"porosity": _drawn(st.floats(0.0, 1.0))})))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_INPUTS, in_config=st.lists(st.booleans(), min_size=5,
+                                          max_size=5))
+def test_potential_inputs_exit_0_1_or_2_with_one_message(inputs, in_config):
+    # the CLI input contract; an escaping exception (a traceback) or a numpy
+    # warning, turned into an error here, fails the test by itself
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        argv, lines = ["potential"], []
+        for (key, value), config in zip(inputs.items(), in_config):
+            if config:
+                lines.append(f"{key} = {value}")
+            else:
+                argv.append(f"--{key.replace('_', '-')}={value}")
+        if lines:
+            Path("run.cfg").write_text("\n".join(lines) + "\n")
+            argv += ["--config", "run.cfg"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        written = sorted(p.name for p in Path(tmp).iterdir()
+                         if p.name != "run.cfg")
+    message = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert message == [] and len(written) == 1
+    else:
+        assert len(message) == 1, message
+        assert message[0].startswith(
+            "error: " if code == 2 else "numerical failure: "), message
+    if code == 2:
+        assert written == []
 
 
 def test_numerical_failure_exits_1(run_cli, tmp_path):

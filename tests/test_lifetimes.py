@@ -67,10 +67,9 @@ def test_positive_im_a_rejected():
         gqs_lifetime(bad)
 
 
-def test_extraction_retries_then_fails_outside_linear_regime(pc_table,
-                                                            monkeypatch):
-    # heights so large that 4 k |Im a| is O(1): first attempt fails the
-    # linearity check, the retry at 10x lower heights still fails
+def test_extraction_fails_outside_linear_regime(pc_table, monkeypatch):
+    # heights so large that 4 k |Im a| is O(1): the two estimates fail the
+    # linearity check
     monkeypatch.setattr(lifetimes, "_HEIGHTS_M", (0.05, 0.20))
     with pytest.raises(ExtractionError):
         scattering_length(pc_table)

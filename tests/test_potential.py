@@ -386,6 +386,19 @@ def test_extraction_requires_range():
     assert fit.notes == ["table spans only 1.48 decades"]
 
 
+def test_end_decades_with_one_point_leave_notes():
+    # a grid step wider than a decade leaves one point in each end decade:
+    # no line is fitted there, and no LinAlgError or warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tab = PotentialTable.from_power_law(1.0, 4.0, 1.0, 1e20, 16)
+    fit = tab.asymptotics
+    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
+    assert (fit.near_exponent, fit.far_exponent) == (None, None)
+    assert fit.notes == ["near decade holds one point: no fit",
+                         "far decade holds one point: no fit"]
+
+
 def test_ends_that_are_not_power_laws_leave_notes():
     # local exponent 2 + z/(1+z): about 2.7 on the first decade, 3 on the
     # last, so neither end meets its target and the table still builds
@@ -406,6 +419,32 @@ def test_build_table_validation():
         build_potential_table(PC, 0.1, 1e7, 8)
     with pytest.raises(ValueError):
         build_potential_table(PC, 0.1, math.inf, 16)
+
+
+@pytest.mark.parametrize("mirror, z_lo, z_hi, bound", [
+    (MirrorSpec.bulk(load_builtin("silica")), 1e-200, 1.0, "z_lo"),
+    (PC, 1e-100, 1.0, "z_lo"),
+    (PC, 1e-90, 1e3, "z_lo"),
+    (PC, 1.0, 1e80, "z_hi"),
+    (PC, 1.0, 1.16e77, "z_hi"),
+])
+def test_grid_bounds_outside_the_float_range_raise(mirror, z_lo, z_hi, bound):
+    # -C4*/z^4 at a bound must be a normal float; these grids once made
+    # numpy warn and F(q) overflow to a nan 'numerical failure'
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{bound} = "):
+            build_potential_table(mirror, z_lo, z_hi, 32)
+
+
+@pytest.mark.parametrize("z_lo, z_hi", [(3e-77, 1.0), (1.0, 1.15e77)])
+def test_grids_at_the_float_range_edges_build_cleanly(z_lo, z_hi):
+    for mirror in (PC, MirrorSpec.bulk(load_builtin("silica"))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = build_potential_table(mirror, z_lo, z_hi, 32)
+            ratio = tab.ratio_to_retarded()
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
 
 
 def test_table_rejects_bad_samples():
