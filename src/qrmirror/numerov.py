@@ -9,8 +9,9 @@ table, entirely different formulation and integrator.
 The complex wavefunction is seeded with the toward-surface WKB wave at the
 near end (full absorption leaves no outgoing wave there), marched outward
 on piecewise-uniform grids whose step doubles as the local de Broglie
-wavelength grows, and projected onto the WKB basis at the far end.  Only
-|r| is convention-free and compared against the amplitude solver.
+wavelength grows (a scalar loop over Python complex values, one list per
+chunk), and projected onto the WKB basis at the far end.  Only |r| is
+convention-free and compared against the amplitude solver.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     z_tail = None
 
     # piecewise-uniform grid, step doubling when the local wavelength allows;
-    # each new segment re-uses two old points a spacing h_new = 2 h_old apart
-    # (indices -3 and -1 of the previous chunk).  A chunk may run up to two
-    # steps past z_end but never past the table: the march ends within one
-    # step of z_max when the window reaches it.
+    # a new segment re-uses two points of the previous chunk's psi list a
+    # spacing h_new = 2 h_old apart (indices -3 and -1).  A chunk may run up
+    # to two steps past z_end but never past the table: the march ends
+    # within one step of z_max when the window reaches it.
     while z_last < z_end:
         n_max = int(min(
             max(64, 4 * ppw),
@@ -91,25 +92,22 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         if n_max < 1:
             break
         z_nodes = z_last + h * np.arange(-1, n_max + 1)
-        f = 1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)
-        psi = np.empty(len(z_nodes), dtype=complex)
-        psi[0] = psi_prev
-        psi[1] = psi_last
-        f_list = f.tolist()
-        stop = len(z_nodes) - 1
-        for i in range(1, stop):
-            psi[i + 1] = ((12.0 - 10.0 * f_list[i]) * psi[i]
-                          - f_list[i - 1] * psi[i - 1]) / f_list[i + 1]
-        total_points += stop - 1
+        f = (1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)).tolist()
+        psi = [psi_prev, psi_last]
+        append = psi.append
+        for f0, f1, f2 in zip(f, f[1:], f[2:]):
+            psi_prev, psi_last = psi_last, (
+                (12.0 - 10.0 * f1) * psi_last - f0 * psi_prev) / f2
+            append(psi_last)
+        total_points += len(z_nodes) - 2
         z_last = float(z_nodes[-1])
-        psi_prev, psi_last = complex(psi[-2]), complex(psi[-1])
         psi_tail = psi
         z_tail = z_nodes
         if z_last >= z_end:
             break
         if (2.0 * math.pi / (float(wavevector(z_last)) * h) >= 2.0 * ppw
                 and len(z_nodes) >= 3):
-            psi_prev = complex(psi[-3])
+            psi_prev = psi[-3]
             h *= 2.0
     if psi_tail is None:
         raise ValueError("integration window shorter than one step")

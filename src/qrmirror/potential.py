@@ -256,7 +256,10 @@ def _f_of_q(mirror: MirrorSpec, q):
         f = sum(s * w * np.arctan(x / w) for s, w in alpha.oscillators)
         return 2.0 * x * x * f, np.zeros_like(q)
     scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
-    s_lo = math.log(0.3 * min(scales))
+    # lo >= 1e-100 x keeps kappa^2 = (x/xi)^2 finite however thick a slab
+    # (it binds past about 1e88 nm on the solver grid); below it
+    # xi^2/x^2 < 1e-200, so the first panel sees a flat integrand
+    s_lo = math.log(max(0.3 * min(scales), 1e-100 * x.max()))
     s_x = np.log(x)
     count = 1 + np.maximum(0.0, np.ceil((s_x - s_lo) / _LN10)).astype(np.intp)
     owner = np.repeat(np.arange(q.size), count)

@@ -237,7 +237,6 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
     sigma = _launch_ratio(table, energy_au, z)
     cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
     cp = sigma * cm
-    p0 = math.sqrt(two_m * (energy_au - deriv(z)[0]))
 
     phase_step_frac, z_step_frac = _PHASE_STEP_FRAC, _Z_STEP_FRAC
 
@@ -246,8 +245,11 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
                    z_step_frac * zc,
                    z_hard_end - zc)
 
-    h = 0.01 * max_step(z, p0)
+    h = 0.01 * max_step(z, rhs(z, cp, cm, phi)[2])
     atol, rtol = _RK_ATOL, _RK_RTOL
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _CK_A
+    (b1, _, b3, b4, _, b6), (e1, _, e3, e4, e5, e6) = _CK_B5, _CK_ERR
     flux_drift = 0.0
     steps = rejected = 0
     next_checkpoint = z * _CHECKPOINT_RATIO
@@ -260,33 +262,33 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
         # Cash-Karp stages
         k1 = rhs(z, cp, cm, phi)
         k2 = rhs(z + _CK_C2 * h,
-                 cp + h * (_CK_A[0][0] * k1[0]),
-                 cm + h * (_CK_A[0][0] * k1[1]),
-                 phi + h * (_CK_A[0][0] * k1[2]))
+                 cp + h * (a21 * k1[0]),
+                 cm + h * (a21 * k1[1]),
+                 phi + h * (a21 * k1[2]))
         k3 = rhs(z + _CK_C3 * h,
-                 cp + h * (_CK_A[1][0] * k1[0] + _CK_A[1][1] * k2[0]),
-                 cm + h * (_CK_A[1][0] * k1[1] + _CK_A[1][1] * k2[1]),
-                 phi + h * (_CK_A[1][0] * k1[2] + _CK_A[1][1] * k2[2]))
+                 cp + h * (a31 * k1[0] + a32 * k2[0]),
+                 cm + h * (a31 * k1[1] + a32 * k2[1]),
+                 phi + h * (a31 * k1[2] + a32 * k2[2]))
         k4 = rhs(z + _CK_C4 * h,
-                 cp + h * (_CK_A[2][0] * k1[0] + _CK_A[2][1] * k2[0] + _CK_A[2][2] * k3[0]),
-                 cm + h * (_CK_A[2][0] * k1[1] + _CK_A[2][1] * k2[1] + _CK_A[2][2] * k3[1]),
-                 phi + h * (_CK_A[2][0] * k1[2] + _CK_A[2][1] * k2[2] + _CK_A[2][2] * k3[2]))
+                 cp + h * (a41 * k1[0] + a42 * k2[0] + a43 * k3[0]),
+                 cm + h * (a41 * k1[1] + a42 * k2[1] + a43 * k3[1]),
+                 phi + h * (a41 * k1[2] + a42 * k2[2] + a43 * k3[2]))
         k5 = rhs(z + _CK_C5 * h,
-                 cp + h * (_CK_A[3][0] * k1[0] + _CK_A[3][1] * k2[0] + _CK_A[3][2] * k3[0] + _CK_A[3][3] * k4[0]),
-                 cm + h * (_CK_A[3][0] * k1[1] + _CK_A[3][1] * k2[1] + _CK_A[3][2] * k3[1] + _CK_A[3][3] * k4[1]),
-                 phi + h * (_CK_A[3][0] * k1[2] + _CK_A[3][1] * k2[2] + _CK_A[3][2] * k3[2] + _CK_A[3][3] * k4[2]))
+                 cp + h * (a51 * k1[0] + a52 * k2[0] + a53 * k3[0] + a54 * k4[0]),
+                 cm + h * (a51 * k1[1] + a52 * k2[1] + a53 * k3[1] + a54 * k4[1]),
+                 phi + h * (a51 * k1[2] + a52 * k2[2] + a53 * k3[2] + a54 * k4[2]))
         k6 = rhs(z + _CK_C6 * h,
-                 cp + h * (_CK_A[4][0] * k1[0] + _CK_A[4][1] * k2[0] + _CK_A[4][2] * k3[0] + _CK_A[4][3] * k4[0] + _CK_A[4][4] * k5[0]),
-                 cm + h * (_CK_A[4][0] * k1[1] + _CK_A[4][1] * k2[1] + _CK_A[4][2] * k3[1] + _CK_A[4][3] * k4[1] + _CK_A[4][4] * k5[1]),
-                 phi + h * (_CK_A[4][0] * k1[2] + _CK_A[4][1] * k2[2] + _CK_A[4][2] * k3[2] + _CK_A[4][3] * k4[2] + _CK_A[4][4] * k5[2]))
+                 cp + h * (a61 * k1[0] + a62 * k2[0] + a63 * k3[0] + a64 * k4[0] + a65 * k5[0]),
+                 cm + h * (a61 * k1[1] + a62 * k2[1] + a63 * k3[1] + a64 * k4[1] + a65 * k5[1]),
+                 phi + h * (a61 * k1[2] + a62 * k2[2] + a63 * k3[2] + a64 * k4[2] + a65 * k5[2]))
 
-        ks = (k1, k2, k3, k4, k5, k6)
-        new_cp = cp + h * sum(b * k[0] for b, k in zip(_CK_B5, ks))
-        new_cm = cm + h * sum(b * k[1] for b, k in zip(_CK_B5, ks))
-        new_phi = phi + h * sum(b * k[2] for b, k in zip(_CK_B5, ks))
-        err_cp = h * sum(b * k[0] for b, k in zip(_CK_ERR, ks))
-        err_cm = h * sum(b * k[1] for b, k in zip(_CK_ERR, ks))
-        err_phi = h * sum(b * k[2] for b, k in zip(_CK_ERR, ks))
+        # 5th-order step and error, term by term; b2 = b5 = e2 = 0
+        new_cp = cp + h * (b1 * k1[0] + b3 * k3[0] + b4 * k4[0] + b6 * k6[0])
+        new_cm = cm + h * (b1 * k1[1] + b3 * k3[1] + b4 * k4[1] + b6 * k6[1])
+        new_phi = phi + h * (b1 * k1[2] + b3 * k3[2] + b4 * k4[2] + b6 * k6[2])
+        err_cp = h * (e1 * k1[0] + e3 * k3[0] + e4 * k4[0] + e5 * k5[0] + e6 * k6[0])
+        err_cm = h * (e1 * k1[1] + e3 * k3[1] + e4 * k4[1] + e5 * k5[1] + e6 * k6[1])
+        err_phi = h * (e1 * k1[2] + e3 * k3[2] + e4 * k4[2] + e5 * k5[2] + e6 * k6[2])
 
         err = max(
             abs(err_cp) / (atol + rtol * max(abs(cp), abs(new_cp))),

@@ -349,6 +349,26 @@ def test_potential_inputs_exit_0_1_or_2_with_one_message(inputs, in_config):
         assert written == []
 
 
+@pytest.mark.parametrize("slab_nm", ["1e140", "1e300"])
+def test_slab_far_thicker_than_the_grid_is_bulk(monkeypatch, tmp_path,
+                                                slab_nm):
+    # such a slab's response scale c/2d lies below every xi at which
+    # kappa^2 = (cq/xi)^2 of the xi rule is still a finite float
+    monkeypatch.chdir(tmp_path)
+    common = ["potential", "--mirror", "silica", "--points", "32",
+              "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([*common, "--out", "bulk.json"]) == 0
+        assert cli.main([*common, "--slab-nm", slab_nm,
+                         "--out", "slab.json"]) == 0
+    bulk, slab = (json.loads((tmp_path / name).read_text())
+                  for name in ("bulk.json", "slab.json"))
+    col = bulk["columns"].index("V_Eh")
+    assert ([row[col] for row in slab["rows"]]
+            == pytest.approx([row[col] for row in bulk["rows"]], rel=1e-9))
+
+
 def test_numerical_failure_exits_1(run_cli, tmp_path):
     # grids clipped at the far end: at 1e3 a0 the far WKB-exact region is
     # off-table, at 3e4 a0 r has not converged by the table end.  The solve

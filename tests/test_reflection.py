@@ -78,8 +78,21 @@ def test_pc_reflection_at_30cm(pc_table):
     assert 0.0 <= res.probability <= 1.0
     assert res.loss == pytest.approx(1.0 - res.probability)
     assert res.flux_drift < 1e-6
-    # the launch past the near-surface flank: 43,441 steps from z_start
+    # launched past the near-surface flank, at z_m: 2,919 steps (pinned in
+    # test_pc_solve_and_oracle_at_30cm_are_pinned)
     assert res.steps <= 3_500
+
+
+def test_pc_solve_and_oracle_at_30cm_are_pinned(pc_table):
+    # Rewriting the step arithmetic with every operation kept in order must
+    # leave r and the step count as they are.  The oracle gets 1e-10: its
+    # march may round its complex division differently.
+    res = solve_reflection(pc_table, E30)
+    assert res.r == pytest.approx(
+        -0.17925500725029014 - 0.14431047570410657j, rel=1e-12)
+    assert (res.steps, res.rejected) == (2919, 0)
+    oracle = numerov_reflection(pc_table, E30, res.z_start, res.z_end)
+    assert oracle.r_magnitude == pytest.approx(0.2301257731969841, rel=1e-10)
 
 
 def test_silica_reflection_at_30cm(silica_table):
