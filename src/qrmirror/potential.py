@@ -286,7 +286,9 @@ def _potential(mirror: MirrorSpec, z):
     node; each z is then one row of e^{-2qz} times the weighted F.  The
     error estimate of each z is the q rule's summed |K21 - G10| plus the
     xi errors of F carried through the same row; if it exceeds _TARGET_REL
-    of |V| (or is not finite) QuadratureError reports it.
+    of |V| (or is not finite) QuadratureError reports it, unless |V| there
+    is below the smallest normal float: that grid reaches too far, and is
+    a ValueError.
     """
     t_lo, t_hi = math.log(_Q_LO / z.max()), math.log(_Q_HI / z.min())
     n = math.ceil(t_hi - t_lo)
@@ -314,6 +316,14 @@ def _potential(mirror: MirrorSpec, z):
     bad = ~(err <= _TARGET_REL * np.abs(v))
     if bad.any():
         i = int(np.argmax(bad))
+        # a far bound where |V| is below the smallest normal float is a bad
+        # grid, not a quadrature miss: the q rule has no digits left there
+        v_i = abs(v[i]) / (2.0 * math.pi * _C**2)
+        if v_i < np.finfo(float).tiny:
+            raise ValueError(
+                f"{mirror.label} at z = {z[i]:g} a0: V underflows (|V| = "
+                f"{v_i:.3g} Eh, below the smallest normal float); lower "
+                "z_max (--z-max-a0)")
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = err[i] / np.abs(v[i])
         raise QuadratureError(
@@ -535,6 +545,38 @@ class PotentialTable:
         vp = v * wp / z
         vpp = v * (wp * wp + wpp - wp) / (z * z)
         return v, vp, vpp
+
+    def taylor(self, z_au, order: int):
+        """Coefficients a_k = z^k V^(k)(z) / k!, k = 0..order, of
+        V(z (1 + u)) = Sum_k a_k u^k on an array of z, from the log-log
+        spline; shape (order + 1,) + z.shape.
+
+        ln(z (1 + u)) is the segment's s plus the series of ln(1 + u), the
+        cubic in s is composed with it, and exp through the recurrence
+        k b_k = Sum_j j w_j b_{k-j}; every series is cut after u^order.
+        """
+        z = np.asarray(z_au, dtype=float)
+        i, s = self._segments(z)
+        n = order + 1
+        if self.is_null:
+            return np.zeros((n,) + z.shape)
+        c0, c1, c2, c3 = self._c.take(i, axis=1)
+        k = np.arange(1, n)
+        log1p = np.concatenate([[0.0], -(-1.0) ** k / k])
+        powers = [np.eye(1, n)[0]]           # ln(1 + u)^m, m = 0..3
+        for _ in range(3):
+            powers.append(np.convolve(powers[-1], log1p)[:n])
+        # the cubic's Taylor coefficients in s, composed with the powers
+        w = sum(np.multiply.outer(pw, d) for pw, d in zip(powers, (
+            ((c0 * s + c1) * s + c2) * s + c3,
+            (3.0 * c0 * s + 2.0 * c1) * s + c2,
+            3.0 * c0 * s + c1,
+            c0)))
+        b = np.empty_like(w)
+        b[0] = np.exp(w[0])
+        for m in range(1, n):
+            b[m] = sum(j * w[j] * b[m - j] for j in range(1, m + 1)) / m
+        return -b
 
     # -- convenience -------------------------------------------------------
 

@@ -21,7 +21,7 @@ below _EDGE_TOL = 1e-8, which for CP potentials happens both near the
 surface and far away.  Between z_start and about 1 a0 no reflection
 happens, only WKB oscillations, so the integration does not step through
 them: it starts at the launch point z_m, the last grid point before the
-badlands peak up to which the second-order WKB incoming wave is exact to
+badlands peak up to which the fourth-order WKB incoming wave is exact to
 _EDGE_TOL/4, with phi = 0 there.  r does not depend on phi's origin, and
 it is referenced to z0 = z_end_min, so it does not depend on where the
 solve happens to stop either.  Attractive potentials have no classical
@@ -54,6 +54,7 @@ _FLUX_TOL = 1e-6          # allowed drift of |c-|^2 - |c+|^2
 _PHASE_STEP_FRAC = 0.5    # max step as fraction of pi hbar / p
 _Z_STEP_FRAC = 0.2        # max step as fraction of z
 _MAX_STEPS = 5_000_000
+_WKB_ORDER = 4            # order N of the launch wave's WKB series
 
 
 class SolveError(RuntimeError):
@@ -111,18 +112,19 @@ class ReflectionResult:
 
 
 def _wkb_bounds(table: PotentialTable,
-                energy_au: float) -> tuple[float, float, float]:
-    """(z_start, z_m, z_end_min): the WKB-exact endpoints, where |Q| is below
-    _EDGE_TOL on both flanks, and the launch point z_m.
+                energy_au: float) -> tuple[float, float, complex, float]:
+    """(z_start, z_launch, sigma, z_end_min): the WKB-exact endpoints, where
+    |Q| is below _EDGE_TOL on both flanks, the launch point and the launch
+    state sigma there (see _wkb_launch).
 
     Uses prefix/suffix running maxima of |Q| so an accidental zero crossing
-    inside the badlands cannot be mistaken for the WKB-exact region.  z_m is
-    the last grid point before the peak up to which the running maximum of
-    |Q'|/8p, the term the second-order launch drops, stays within
-    _EDGE_TOL/4, the error of a first-order launch at z_start.
+    inside the badlands cannot be mistaken for the WKB-exact region.  The
+    launch point is z_m, the last grid point before the peak up to which the
+    running maximum of |y_{N+1}|/2p, the term the order-N launch drops,
+    stays within _EDGE_TOL/4, the error of a first-order launch at z_start;
+    or z_start, if that lies further out.
     """
-    q_signed = badlands_q(table, energy_au, table.z)
-    q = np.abs(q_signed)
+    q = np.abs(badlands_q(table, energy_au, table.z))
     i_peak = int(np.argmax(q))
     prefix_ok = np.maximum.accumulate(q) <= _EDGE_TOL
     start_candidates = np.nonzero(prefix_ok[: i_peak + 1])[0]
@@ -139,13 +141,58 @@ def _wkb_bounds(table: PotentialTable,
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
             f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
-    p = np.sqrt(2.0 * _M * (energy_au - table.V[: i_peak + 1]))
-    dropped = np.abs(np.gradient(q_signed, table.z)[: i_peak + 1]) / (8.0 * p)
+    sigma, dropped = _wkb_launch(table, energy_au, table.z[: i_peak + 1])
     launch_candidates = np.nonzero(
         np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL)[0]
     i_m = launch_candidates[-1] if launch_candidates.size else 0
-    return (float(table.z[start_candidates[-1]]), float(table.z[i_m]),
-            float(table.z[end_candidates[0]]))
+    i_launch = max(start_candidates[-1], i_m)
+    return (float(table.z[start_candidates[-1]]), float(table.z[i_launch]),
+            complex(sigma[i_launch]), float(table.z[end_candidates[0]]))
+
+
+def _wkb_launch(table: PotentialTable, energy_au: float,
+                z) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, dropped) of the order-_WKB_ORDER WKB incoming wave on an
+    array of z: sigma = c+ e^{2i phi}/c- and the first dropped term's size.
+
+    With hbar = 1, y = psi'/psi obeys y' + y^2 + p^2 = 0, whose WKB series
+    is y_0 = -ip and 2 y_0 y_n = -y_{n-1}' - Sum_{j=1}^{n-1} y_j y_{n-j}
+    (Friedrich & Trost, Phys. Rep. 397, 359, 2004).  Each y_n is carried as
+    z y_n(z (1 + u)), a Taylor series in u, so that d/dz becomes d/du and
+    every coefficient stays of the size of z p; y_n needs N + 1 - n terms
+    for y_{N+1} at u = 0.  The wave y = y_0 + ... + y_N, projected onto the
+    amplitude gauge (psi' = i p (c+ e^{i phi} - c- e^{-i phi})/
+    (hbar sqrt(p))), gives sigma = (ip + y)/(ip - y); the dropped y_{N+1}
+    moves it by about |y_{N+1}|/2p.  At N = 2 this is the closed form
+    (iQ/2 - beta)/(2i - iQ/2 + beta), beta = hbar p'/2p^2, and y_3 gives
+    |Q'|/8p.
+    """
+    n = _WKB_ORDER + 2
+    a = table.taylor(z, n - 1)
+    # (z p)^2 = 2m z^2 (E - V) as a series, then its square root
+    p2 = -2.0 * _M * z * z * a
+    p2[0] += 2.0 * _M * z * z * energy_au
+    zp = [np.sqrt(p2[0])]
+    for k in range(1, n):
+        zp.append((p2[k] - sum(zp[j] * zp[k - j] for j in range(1, k)))
+                  / (2.0 * zp[0]))
+    # y[m][k]: coefficient k of z y_m; 2 y_0 = -2i z p, so dividing by it is
+    # multiplying by i/2 and dividing by the series of z p
+    y = [[-1j * c for c in zp]]
+    for m in range(1, n):
+        y_m: list[np.ndarray] = []
+        for k in range(n - m):
+            rhs = -(k + 1) * y[m - 1][k + 1] - sum(
+                y[j][i] * y[m - j][k - i]
+                for j in range(1, m) for i in range(k + 1))
+            y_m.append((0.5j * rhs - sum(zp[j] * y_m[k - j]
+                                         for j in range(1, k + 1)))
+                       / zp[0])
+        y.append(y_m)
+    # ip + y_0 = 0: sum the corrections alone
+    corr = sum(y[m][0] for m in range(1, n - 1))
+    sigma = corr / (2j * zp[0] - corr)
+    return sigma, np.abs(y[-1][0]) / (2.0 * zp[0])
 
 
 def _phase(table: PotentialTable, energy_au: float,
@@ -158,23 +205,6 @@ def _phase(table: PotentialTable, energy_au: float,
     z = np.exp(edges[:-1, None] + half * (1.0 + _GL16_X))
     p = np.sqrt(2.0 * _M * (energy_au - table.potential(z)))
     return float(np.sum(half * _GL16_W * p * z))
-
-
-def _launch_ratio(table: PotentialTable, energy_au: float,
-                  z: float) -> complex:
-    """sigma = c+ e^{2i phi}/c- of the second-order WKB incoming wave at z.
-
-    The wave e^{-i int W}/sqrt(W) with W = p(1 - Q/2) solves the Schrodinger
-    equation up to a term |Q'|/8p in sigma.  Its log-derivative y, projected
-    onto the amplitude gauge (psi' = i p (c+ e^{i phi} - c- e^{-i phi})/
-    (hbar sqrt(p))), gives sigma = (ip + y)/(ip - y) =
-    (iQ/2 - beta)/(2i - iQ/2 + beta) with beta = hbar p'/2p^2.
-    """
-    v, vp, _ = table.derivatives_scalar(z)
-    p = math.sqrt(2.0 * _M * (energy_au - v))
-    beta = -_M * vp / (2.0 * p**3)
-    q = badlands_q(table, energy_au, z)
-    return (0.5j * q - beta) / (2j - 0.5j * q + beta)
 
 
 # Cash-Karp embedded 5(4) pair.
@@ -211,7 +241,7 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
                                 z_end=table.z_max, flux_drift=0.0,
                                 steps=0, rejected=0)
 
-    z_start, z_m, z_end_min = _wkb_bounds(table, energy_au)
+    z_start, z, sigma, z_end_min = _wkb_bounds(table, energy_au)
     z_hard_end = table.z_max
 
     # constants bound to locals: rhs and max_step are the hot loop
@@ -226,15 +256,13 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
         e = cmath.exp(-2j * phi)
         return g * e * cm, g * e.conjugate() * cp, p
 
-    # Launch state: the second-order WKB incoming wave (see _launch_ratio),
+    # Launch state: the order-_WKB_ORDER WKB incoming wave (see _wkb_launch),
     # normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0: c+ -> 0 only as
-    # z -> 0, the full absorption at the surface.  Its error |Q'|/8p stays
-    # within _EDGE_TOL/4 up to z_m, so the solve does not step through
+    # z -> 0, the full absorption at the surface.  Its error |y_{N+1}|/2p
+    # stays within _EDGE_TOL/4 up to z_m, so the solve does not step through
     # [z_start, z_m].  phi starts at 0 there: the launch would carry
     # e^{-2i phi} of any other origin, and r e^{2i phi} below cancels it.
-    z = max(z_start, z_m)
     phi = 0.0
-    sigma = _launch_ratio(table, energy_au, z)
     cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
     cp = sigma * cm
 

@@ -76,6 +76,9 @@ def test_non_finite_grid_or_thickness_exits_2(run_cli, tmp_path, argv):
     (["potential", "--mirror", "silica", "--points", "8"], "need"),
     (["potential", "--mirror", "silica", "--z-min-a0", "10", "--z-max-a0", "1"],
      "need"),
+    # the C5/z^5 tail underflows long before z_max; once a quadrature miss
+    (["potential", "--mirror", "silica", "--slab-nm", "5", "--z-max-a0",
+      "1e70", "--points", "64"], "V underflows"),
 ])
 def test_bad_input_exits_2(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

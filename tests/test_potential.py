@@ -507,6 +507,22 @@ def test_scalar_and_array_paths_agree(pc_table):
     assert pc_table.potential(z[-1]) == scalar[0][-1]
 
 
+def test_taylor_coefficients_match_the_derivatives_and_a_power_law(pc_table):
+    # a_k = z^k V^(k)/k!: the first three are the spline's (V, z V',
+    # z^2 V''/2); on a pure -C3/z^3, whose ln|V| is linear in ln z, all six
+    # are those of V (1 + u)^-3, V binom(-3, k), up to the rounding of the
+    # spline fit (its cubic terms reach about 4e-11, not 0)
+    z = np.geomspace(1e-8, 1e3, 50)
+    v, vp, vpp = pc_table.derivatives(z)
+    assert np.allclose(pc_table.taylor(z, 5)[:3],
+                       [v, z * vp, 0.5 * z * z * vpp], rtol=1e-13, atol=0)
+    c3 = PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
+    assert np.allclose(c3.taylor(z, 5),
+                       np.multiply.outer([1, -3, 6, -10, 15, -21],
+                                         c3.potential(z)),
+                       rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("make", [lambda: PotentialTable.from_power_law(
     0.25, 3.0, 1e-8, 1e7, 480), PotentialTable.null], ids=["c3", "null"])
 def test_both_paths_raise_outside_the_table(make):

@@ -10,7 +10,7 @@ from qrmirror.numerov import numerov_reflection
 from qrmirror.potential import PotentialTable
 from qrmirror.reflection import (
     SolveError,
-    _launch_ratio,
+    _wkb_launch,
     badlands_profile,
     badlands_q,
     reflection_sweep,
@@ -20,6 +20,7 @@ from qrmirror.reporting import sweep_csv
 
 _M = CONSTANTS.mass_au
 E30 = CONSTANTS.energy_au_from_height(0.30)
+E_1E7 = CONSTANTS.energy_au_from_height(1e-7)
 
 
 # -- badlands ----------------------------------------------------------------
@@ -78,21 +79,25 @@ def test_pc_reflection_at_30cm(pc_table):
     assert 0.0 <= res.probability <= 1.0
     assert res.loss == pytest.approx(1.0 - res.probability)
     assert res.flux_drift < 1e-6
-    # launched past the near-surface flank, at z_m: 2,919 steps (pinned in
-    # test_pc_solve_and_oracle_at_30cm_are_pinned)
-    assert res.steps <= 3_500
+    # launched from the fourth-order WKB wave at z_m = 1.85 a0: 383 steps
+    # (pinned in test_pc_solve_and_oracle_at_30cm_are_pinned)
+    assert res.steps <= 600
 
 
 def test_pc_solve_and_oracle_at_30cm_are_pinned(pc_table):
     # Rewriting the step arithmetic with every operation kept in order must
     # leave r and the step count as they are.  The oracle gets 1e-10: its
-    # march may round its complex division differently.
+    # march may round its complex division differently.  The second-order
+    # launch gave -0.17925500725029014-0.14431047570410657j in 2,919 steps;
+    # the fourth-order one must stay within the launch error of it.
     res = solve_reflection(pc_table, E30)
     assert res.r == pytest.approx(
-        -0.17925500725029014 - 0.14431047570410657j, rel=1e-12)
-    assert (res.steps, res.rejected) == (2919, 0)
+        -0.17925500605335776 - 0.14431047937124347j, rel=1e-12)
+    assert res.r == pytest.approx(
+        -0.17925500725029014 - 0.14431047570410657j, rel=5e-8)
+    assert (res.steps, res.rejected) == (383, 0)
     oracle = numerov_reflection(pc_table, E30, res.z_start, res.z_end)
-    assert oracle.r_magnitude == pytest.approx(0.2301257731969841, rel=1e-10)
+    assert oracle.r_magnitude == pytest.approx(0.2301257850405563, rel=1e-10)
 
 
 def test_silica_reflection_at_30cm(silica_table):
@@ -130,7 +135,7 @@ def test_wkb_endpoints_have_small_badlands(pc_table):
 
 def test_boundary_robustness(pc_table, silica_table, monkeypatch):
     # a 10x tighter |Q| bound moves z_start 10x and the launch point inward
-    # (about twice the steps) and z_end_min outward; P must not notice
+    # (about 1.5 times the steps) and z_end_min outward; P must not notice
     for table in (pc_table, silica_table):
         for height in (0.3, 1.0):
             energy = CONSTANTS.energy_au_from_height(height)
@@ -160,24 +165,32 @@ def test_phase_reference_does_not_depend_on_the_end(pc_table, silica_table,
         assert abs(far.r - res.r) <= 1e-8 * abs(res.r)
 
 
-@pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1])
-def test_launch_matches_the_exact_c3_absorbing_wave(pure_c3_table, z):
+@pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0])
+def test_launch_matches_the_exact_c3_absorbing_wave(pure_c3_table,
+                                                    monkeypatch, z):
     # For V = -C3/z^3 at zero energy psi = sqrt(z) H1(x), x = 2 sqrt(b/z),
-    # b = 2 m C3 / hbar^2, is the exact wave falling into the surface.  Its
-    # log-derivative y gives sigma = (ip + y)/(ip - y); the second-order
-    # launch misses it by the dropped term |Q'|/8p = 0.29 |Q|^{3/2}, the
-    # first-order one (Q = 0) by |Q|/4.
+    # b = 2 m C3 / hbar^2, is the exact wave falling into the surface; at the
+    # 1e-7 m energy E/|V| <= 2e-15 out to 1 a0.  Its log-derivative y gives
+    # sigma = (ip + y)/(ip - y).  The fourth-order launch misses it by about
+    # its own dropped term |y_5|/2p (above a rounding floor), the first-order
+    # one (Q = 0) by |Q|/4, and at second order the series is the closed form
+    # (iQ/2 - beta)/(2i - iQ/2 + beta).
     b = 2.0 * _M * 0.25
     x = 2.0 * math.sqrt(b / z)
     y = 1.0 / z - x / (2.0 * z) * hankel1(0, x) / hankel1(1, x)
     v, vp, _ = pure_c3_table.derivatives_scalar(z)
-    p = math.sqrt(2.0 * _M * (E30 - v))
+    p = math.sqrt(2.0 * _M * (E_1E7 - v))
     exact = (1j * p + y) / (1j * p - y)
-    q = abs(badlands_q(pure_c3_table, E30, z))
-    assert abs(_launch_ratio(pure_c3_table, E30, z) - exact) <= 0.3 * q**1.5
+    (sigma,), (dropped,) = _wkb_launch(pure_c3_table, E_1E7, np.array([z]))
+    assert abs(sigma - exact) <= 1.5 * dropped + 1e-15
+    q = badlands_q(pure_c3_table, E_1E7, z)
     beta = -_M * vp / (2.0 * p**3)
     first_order = -beta / (2j + beta)
-    assert abs(first_order - exact) == pytest.approx(q / 4.0, rel=0.01)
+    assert abs(first_order - exact) == pytest.approx(abs(q) / 4.0, rel=0.01)
+    monkeypatch.setattr(reflection, "_WKB_ORDER", 2)
+    (second_order,), _ = _wkb_launch(pure_c3_table, E_1E7, np.array([z]))
+    closed = (0.5j * q - beta) / (2j - 0.5j * q + beta)
+    assert abs(second_order - closed) <= 1e-15
 
 
 def test_solver_is_deterministic(pc_table):
