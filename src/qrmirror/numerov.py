@@ -9,9 +9,10 @@ table, entirely different formulation and integrator.
 The complex wavefunction is seeded with the toward-surface WKB wave at the
 near end (full absorption leaves no outgoing wave there), marched outward
 on piecewise-uniform grids whose step doubles as the local de Broglie
-wavelength grows (a scalar loop over Python complex values, one list per
-chunk), and projected onto the WKB basis at the far end.  Only |r| is
-convention-free and compared against the amplitude solver.
+wavelength grows (a few chunks at a time, each block one banded
+lower-triangular solve by LAPACK's dtbtrs), and projected onto the WKB
+basis at the far end.  Only |r| is convention-free and compared against
+the amplitude solver.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.linalg.lapack import dtbtrs
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
@@ -29,6 +31,7 @@ from .potential import PotentialTable
 _M = CONSTANTS.mass_au
 _GL16_X, _GL16_W = leggauss(16)
 _POINTS_PER_WAVELENGTH = 100   # Numerov points per local de Broglie wavelength
+_BLOCK_CHUNKS = 8              # chunks per banded solve; bounds its memory
 
 
 @dataclass
@@ -68,47 +71,79 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     if z_start + h >= z_end:
         raise ValueError("integration window shorter than one step")
 
-    # WKB seed for the incoming wave at the two leading points
+    # WKB seed for the incoming wave at the two leading points, (Re, Im)
     k2 = float(wavevector(z_start + h))
     phi12 = _phase_between(table, energy_au, z_start, z_start + h)
-    psi_prev = (1.0 / math.sqrt(k0)) + 0.0j
-    psi_last = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
+    psi2 = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
+    seed = [[1.0 / math.sqrt(k0), 0.0], [psi2.real, psi2.imag]]
     z_last = z_start + h
     total_points = 2
     psi_tail = None
     z_tail = None
 
-    # piecewise-uniform grid, step doubling when the local wavelength allows;
-    # a new segment re-uses two points of the previous chunk's psi list a
-    # spacing h_new = 2 h_old apart (indices -3 and -1).  A chunk may run up
-    # to two steps past z_end but never past the table: the march ends
-    # within one step of z_max when the window reaches it.
-    while z_last < z_end:
-        n_max = int(min(
-            max(64, 4 * ppw),
-            math.ceil((z_end - z_last) / h) + 1,
-            (table.z_max - z_last) // h,
-        ))
-        if n_max < 1:
+    # piecewise-uniform grid in chunks of one step h, which doubles at a
+    # chunk end when the local wavelength allows; a new segment re-uses two
+    # points a spacing h_new = 2 h_old apart (indices -3 and -1).  A chunk
+    # may run up to two steps past z_end but never past the table: the march
+    # ends within one step of z_max when the window reaches it.  Up to
+    # _BLOCK_CHUNKS chunks form a block, cut after the first end where the
+    # step doubles, and each block's march
+    #     f2 psi_n+1 - (12 - 10 f1) psi_n + f0 psi_n-1 = 0
+    # is one banded forward substitution; f is real, so Re psi and Im psi
+    # are two right-hand sides of the same system.
+    done = False
+    while not done:
+        bases, counts, ends = [], [], []
+        z = z_last
+        for _ in range(_BLOCK_CHUNKS):
+            n_max = int(min(max(64, 4 * ppw), math.ceil((z_end - z) / h) + 1,
+                            (table.z_max - z) // h))
+            if n_max < 1:
+                done = True
+                break
+            bases.append(z)
+            counts.append(n_max)
+            z = z + h * n_max
+            if z >= z_end:
+                done = True
+                break
+            ends.append(z)
+        if not counts:
             break
-        z_nodes = z_last + h * np.arange(-1, n_max + 1)
-        f = (1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)).tolist()
-        psi = [psi_prev, psi_last]
-        append = psi.append
-        for f0, f1, f2 in zip(f, f[1:], f[2:]):
-            psi_prev, psi_last = psi_last, (
-                (12.0 - 10.0 * f1) * psi_last - f0 * psi_prev) / f2
-            append(psi_last)
-        total_points += len(z_nodes) - 2
+        doubles = np.flatnonzero(
+            2.0 * math.pi / (wavevector(np.array(ends)) * h) >= 2.0 * ppw)
+        if doubles.size:
+            del bases[doubles[0] + 1:], counts[doubles[0] + 1:]
+            done = False
+        # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i
+        sizes = np.array(counts) + 2
+        p = np.cumsum(sizes) - sizes
+        z_nodes = np.repeat(bases, sizes) + h * (
+            np.arange(sizes.sum()) - np.repeat(p + 1, sizes))
+        f = 1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)
+        # LAPACK band storage, one column per node: f2, -(12 - 10 f1) and
+        # f0 of the rows that read it.  The two nodes at the start p of each
+        # chunk repeat the two nodes before them, or at p = 0 hold the seed
+        # (its writes before p land in band slots outside the matrix).
+        ab = np.empty((3, z_nodes.size), order="F")
+        ab[0] = f
+        ab[1, :-1] = 10.0 * f[:-1] - 12.0
+        ab[2, :-2] = f[:-2]
+        ab[0, p] = ab[0, p + 1] = 1.0
+        ab[1, p - 1] = ab[1, p] = 0.0
+        ab[2, p - 2] = ab[2, p - 1] = -1.0
+        psi = np.zeros((2, z_nodes.size)).T
+        psi[:2] = seed
+        psi, _ = dtbtrs(ab, psi, uplo="L", overwrite_b=True)
+        total_points += sum(counts)
         z_last = float(z_nodes[-1])
-        psi_tail = psi
-        z_tail = z_nodes
-        if z_last >= z_end:
-            break
-        if (2.0 * math.pi / (float(wavevector(z_last)) * h) >= 2.0 * ppw
-                and len(z_nodes) >= 3):
-            psi_prev = psi[-3]
+        psi_tail = psi[-(counts[-1] + 2):]
+        z_tail = z_nodes[-(counts[-1] + 2):]
+        if doubles.size:
+            seed = psi[[-3, -1]]
             h *= 2.0
+        else:
+            seed = psi[-2:]
     if psi_tail is None:
         raise ValueError("integration window shorter than one step")
 
@@ -127,8 +162,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     m21 = cmath.exp(1j * dphi) / math.sqrt(kb)
     m22 = cmath.exp(-1j * dphi) / math.sqrt(kb)
     det = m11 * m22 - m12 * m21
-    psi_a = psi_tail[j1]
-    psi_b = psi_tail[j2]
+    psi_a = complex(*psi_tail[j1])
+    psi_b = complex(*psi_tail[j2])
     c_plus = (m22 * psi_a - m12 * psi_b) / det
     c_minus = (-m21 * psi_a + m11 * psi_b) / det
     return NumerovResult(r_magnitude=abs(c_plus / c_minus), z_end=z_last,

@@ -98,6 +98,9 @@ def test_pc_solve_and_oracle_at_30cm_are_pinned(pc_table):
     assert (res.steps, res.rejected) == (383, 0)
     oracle = numerov_reflection(pc_table, E30, res.z_start, res.z_end)
     assert oracle.r_magnitude == pytest.approx(0.2301257850405563, rel=1e-10)
+    # the grid depends on V alone, so it is exact
+    assert oracle.n_points == 210_173
+    assert oracle.z_end == 48435.502603618006
 
 
 def test_silica_reflection_at_30cm(silica_table):
