@@ -29,7 +29,6 @@ from .potential import (
     QuadratureError,
     build_potential_table,
     build_solver_table,
-    cp_potential_point,
     extract_asymptotics,
     retarded_coefficient,
     retarded_reference,

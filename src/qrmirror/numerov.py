@@ -150,7 +150,10 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     # project the last stretch onto the WKB basis; pick a second matching
     # point a quarter wavelength back so the 2x2 system is well conditioned
     k_end = float(wavevector(z_last))
-    quarter = max(1, int(round(0.25 * 2.0 * math.pi / (k_end * h))))
+    # the last chunk's own spacing: h is already doubled when the march
+    # stops at the table end right after a doubling
+    dz = float(z_tail[1] - z_tail[0])
+    quarter = max(1, int(round(0.25 * 2.0 * math.pi / (k_end * dz))))
     j2 = len(z_tail) - 1
     j1 = max(0, j2 - quarter)
     za, zb = float(z_tail[j1]), float(z_tail[j2])

@@ -12,11 +12,13 @@ which is the (xi, kappa) double integral with q = kappa xi / c and the two
 integrals swapped (cf. Dufour et al., PRA 87, 012901, 2013).  F does not
 depend on z, so a table evaluates it once per q node and every z is one
 row of a matrix product.  The q rule is a 21-point Gauss-Kronrod rule on
-panels of ln q; the finite xi range of each F is split into decades of
-ln xi, and all panels of a block of q nodes go through one vectorised
-Gauss-Kronrod pass, with only the panels over budget bisected and passed
-again.  Each pass evaluates the reflection amplitudes once, on every
-(xi, kappa) node pair.
+panels at most 2 wide in ln q; the finite xi range of each F is a first
+panel linear in xi, ending at 0.3 times the smallest response scale or,
+for a sheet, at the knee xi = eta c q / 2 of r_TM if that is lower, and
+then decades of ln xi.  All panels of a block of q nodes go through one
+vectorised Gauss-Kronrod pass, with only the panels over budget bisected
+and passed again.  Each pass evaluates the reflection amplitudes once, on
+every (xi, kappa) node pair.
 
 The overall constant is not taken on trust: it is locked by two anchors that
 the perfect-conductor potential must reproduce simultaneously,
@@ -203,6 +205,7 @@ _TARGET_REL = 1e-6     # relative accuracy that every V(z) must reach
 # least as q^2, so V(z) loses at most (4/3)(_Q_LO z/z_max)^3 ~ 1e-18 of
 # itself; above it e^{-2qz} <= e^{-100}.
 _Q_LO, _Q_HI = 1e-6, 50.0
+_Q_PANEL = 2.0         # width of a q panel in ln q (at most)
 _BLOCK = 32            # q nodes per F evaluation, z rows per e^{-2qz} block
 _LN10 = math.log(10.0)
 
@@ -247,8 +250,9 @@ def _f_of_q(mirror: MirrorSpec, q):
 
     The xi range [0, cq] of each q is split into panels: [0, min(lo, cq)] in
     xi, then decades in s = ln xi from lo up to cq, where lo is 0.3 times
-    the smallest response scale (atom and mirror).  The perfect conductor's
-    F is closed-form: 2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
+    the smallest response scale (atom and mirror), or for a sheet its knee
+    eta cq / 2 if that is lower.  The perfect conductor's F is closed-form:
+    2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
     """
     alpha = DEFAULT_POLARIZABILITY
     x = _C * q
@@ -256,18 +260,23 @@ def _f_of_q(mirror: MirrorSpec, q):
         f = sum(s * w * np.arctan(x / w) for s, w in alpha.oscillators)
         return 2.0 * x * x * f, np.zeros_like(q)
     scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
+    lo = np.full_like(x, 0.3 * min(scales))
+    if mirror.kind == "sheet":
+        # sheet r_TM = y/(1 + y), y = eta x/(2 xi), has its knee at y = 1
+        lo = np.minimum(lo, 0.5 * mirror.sheet.eta * x)
     # lo >= 1e-100 x keeps kappa^2 = (x/xi)^2 finite however thick a slab
     # (it binds past about 1e88 nm on the solver grid); below it
     # xi^2/x^2 < 1e-200, so the first panel sees a flat integrand
-    s_lo = math.log(max(0.3 * min(scales), 1e-100 * x.max()))
+    s_lo = np.log(np.maximum(lo, 1e-100 * x.max()))
     s_x = np.log(x)
     count = 1 + np.maximum(0.0, np.ceil((s_x - s_lo) / _LN10)).astype(np.intp)
     owner = np.repeat(np.arange(q.size), count)
     j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
     log = j > 0
+    s_lo = s_lo[owner]
     lo = np.where(log, s_lo + (j - 1) * _LN10, 0.0)
     hi = np.where(log, np.minimum(s_lo + j * _LN10, s_x[owner]),
-                  np.minimum(math.exp(s_lo), x[owner]))
+                  np.minimum(np.exp(s_lo), x[owner]))
 
     def integrand(xi, owner):
         xq = x[owner]
@@ -281,17 +290,17 @@ def _f_of_q(mirror: MirrorSpec, q):
 def _potential(mirror: MirrorSpec, z):
     """V in Hartree on an array of z (a0), by one q rule for all of them.
 
-    q runs over [_Q_LO/z_max, _Q_HI/z_min] on panels of width <= 1 in ln q,
-    each with the 21-point Gauss-Kronrod rule.  F is evaluated once per q
-    node; each z is then one row of e^{-2qz} times the weighted F.  The
-    error estimate of each z is the q rule's summed |K21 - G10| plus the
-    xi errors of F carried through the same row; if it exceeds _TARGET_REL
-    of |V| (or is not finite) QuadratureError reports it, unless |V| there
-    is below the smallest normal float: that grid reaches too far, and is
-    a ValueError.
+    q runs over [_Q_LO/z_max, _Q_HI/z_min] on panels of width <= _Q_PANEL
+    = 2 in ln q, each with the 21-point Gauss-Kronrod rule.  F is evaluated
+    once per q node; each z is then one row of e^{-2qz} times the weighted
+    F.  The error estimate of each z is the q rule's summed |K21 - G10|
+    plus the xi errors of F carried through the same row; if it exceeds
+    _TARGET_REL of |V| (or is not finite) QuadratureError reports it.  A z
+    where |V| is below the smallest normal float is a ValueError instead:
+    that grid reaches too far.
     """
     t_lo, t_hi = math.log(_Q_LO / z.max()), math.log(_Q_HI / z.min())
-    n = math.ceil(t_hi - t_lo)
+    n = math.ceil((t_hi - t_lo) / _Q_PANEL)
     half = 0.5 * (t_hi - t_lo) / n
     t = t_lo + (2.0 * np.arange(n) + 1.0)[:, None] * half + half * _GK_X
     q = np.exp(t).ravel()
@@ -313,16 +322,20 @@ def _potential(mirror: MirrorSpec, z):
         v[i:i + _BLOCK] = e @ wf
         q_err = (e * dwf).reshape(-1, n, _GK_X.size).sum(axis=2)
         err[i:i + _BLOCK] = np.abs(q_err).sum(axis=1) + e @ werr
-    bad = ~(err <= _TARGET_REL * np.abs(v))
+    # a far bound where |V| is below the smallest normal float is a bad
+    # grid, not a quadrature miss: the q rule has no digits left there, and
+    # a V that underflows to 0 has an error estimate of 0 that would pass.
+    # A mirror with no response (a sheet with eta = 0) has V = 0 at every z:
+    # that is the free-space table, not an underflow.
+    v_abs = np.abs(v) / (2.0 * math.pi * _C**2)
+    tiny = np.finfo(float).tiny
+    bad = ~(err <= _TARGET_REL * np.abs(v)) | ((v_abs < tiny) & v.any())
     if bad.any():
         i = int(np.argmax(bad))
-        # a far bound where |V| is below the smallest normal float is a bad
-        # grid, not a quadrature miss: the q rule has no digits left there
-        v_i = abs(v[i]) / (2.0 * math.pi * _C**2)
-        if v_i < np.finfo(float).tiny:
+        if v_abs[i] < tiny:
             raise ValueError(
                 f"{mirror.label} at z = {z[i]:g} a0: V underflows (|V| = "
-                f"{v_i:.3g} Eh, below the smallest normal float); lower "
+                f"{v_abs[i]:.3g} Eh, below the smallest normal float); lower "
                 "z_max (--z-max-a0)")
         with np.errstate(divide="ignore", invalid="ignore"):
             rel = err[i] / np.abs(v[i])
@@ -330,19 +343,6 @@ def _potential(mirror: MirrorSpec, z):
             f"{mirror.label} at z = {z[i]:g} a0: quadrature achieved relative "
             f"error {rel:.2e} > {_TARGET_REL:g}")
     return -v / (2.0 * math.pi * _C**2)
-
-
-def cp_potential_point(mirror: MirrorSpec, z_au: float) -> float:
-    """CP potential V(z) in Hartree at distance z (a0) from the mirror.
-
-    The one-z case of the table path: the q rule spans [1e-6/z, 50/z].
-    Raises QuadratureError with the achieved error estimate if the relative
-    accuracy _TARGET_REL = 1e-6 cannot be met.  The atom is
-    DEFAULT_POLARIZABILITY.
-    """
-    if not 0 < z_au < math.inf:
-        raise ValueError(f"distance must be positive and finite, got {z_au}")
-    return float(_potential(mirror, np.array([float(z_au)]))[0])
 
 
 def retarded_coefficient() -> float:

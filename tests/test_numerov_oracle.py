@@ -100,7 +100,8 @@ def _scalar_march(table, energy, z_start, z_end):
             prev = tail[-3]
             h *= 2.0
     j2 = len(z_tail) - 1
-    j1 = max(0, j2 - max(1, round(0.5 * math.pi / (float(k(z_last)) * h))))
+    dz = float(z_tail[1] - z_tail[0])   # h may be doubled past the tail
+    j1 = max(0, j2 - max(1, round(0.5 * math.pi / (float(k(z_last)) * dz))))
     za, zb = float(z_tail[j1]), float(z_tail[j2])
     # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
     dphi = numerov._phase_between(table, energy, za, zb)

@@ -19,15 +19,21 @@ from qrmirror.potential import (
     MirrorSpec,
     PotentialTable,
     build_potential_table,
-    cp_potential_point,
     extract_asymptotics,
     retarded_coefficient,
     retarded_reference,
     vdw_coefficient_integral,
 )
+from qrmirror import potential
 from qrmirror.reporting import potential_table_csv
 
 PC = MirrorSpec.perfect_conductor()
+
+
+def _v_at(mirror, z):
+    """V(z) in Eh at one z: the table's quadrature on a one-point grid, so
+    its q rule spans [1e-6/z, 50/z]."""
+    return float(potential._potential(mirror, np.array([float(z)]))[0])
 
 
 @pytest.fixture(scope="module")
@@ -94,28 +100,30 @@ def test_spec_inputs_build_or_raise_value_error(build, valid, x):
 def test_pc_retarded_anchor():
     # z^4 V -> -73.6 Eh a0^4 at large z
     z = 1e5
-    v = cp_potential_point(PC, z)
+    v = _v_at(PC, z)
     assert v * z**4 == pytest.approx(-73.6, rel=0.01)
 
 
 def test_pc_vdw_anchor():
     # z^3 V -> -0.25 Eh a0^3 at small z
     z = 1.0
-    v = cp_potential_point(PC, z)
+    v = _v_at(PC, z)
     assert v * z**3 == pytest.approx(-0.25, rel=0.01)
 
 
 def test_bulk_silica_retarded_within_model_tolerance():
     silica = MirrorSpec.bulk(load_builtin("silica"))
     z = 1e6
-    v = cp_potential_point(silica, z)
+    v = _v_at(silica, z)
     assert v * z**4 == pytest.approx(-28.1, rel=0.25)
 
 
 def test_potential_point_rejects_nonpositive_z():
     for z in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
-            cp_potential_point(PC, z)
+            build_potential_table(PC, z, 1e7, 16)
+        with pytest.raises(ValueError):
+            build_potential_table(PC, 1e-8, z, 16)
 
 
 _SILICA = load_builtin("silica")
@@ -140,7 +148,7 @@ _SILICA = load_builtin("silica")
 ], ids=["pc", "bulk", "slab", "sheet", "porous"])
 def test_potential_point_parity(mirror, pinned):
     for z, v in zip((1e-6, 1e2, 1e5), pinned):
-        assert cp_potential_point(mirror, z) == pytest.approx(v, rel=1e-12, abs=0)
+        assert _v_at(mirror, z) == pytest.approx(v, rel=1e-12, abs=0)
 
 
 def _pc_potential_oracle(z):
@@ -167,34 +175,92 @@ def _pc_potential_oracle(z):
 
 def test_pc_potential_matches_scalar_oracle_over_solver_range():
     for z in np.geomspace(1e-8, 1e7, 15):
-        assert cp_potential_point(PC, z) == pytest.approx(
+        assert _v_at(PC, z) == pytest.approx(
             _pc_potential_oracle(z), rel=1e-10, abs=0)
 
 
+def _sheet_potential_oracle(eta, z):
+    """Sheet V(z) as nested scipy quads in the (xi, kappa) form,
+    -(1/2 pi c^3) Int dxi xi^3 alpha(i xi) Int_1^inf dkappa e^{-a kappa}
+    [(2 kappa^2 - 1) r_TM - r_TE], a = 2 xi z / c, with the sheet's
+    r_TM = eta kappa/(2 + eta kappa) and -r_TE = eta/(2 kappa + eta)."""
+    ((strength, w),) = DEFAULT_POLARIZABILITY.oscillators
+    c = CONSTANTS.c_au
+
+    def g(kappa):
+        return ((2.0 * kappa * kappa - 1.0) * eta * kappa / (2.0 + eta * kappa)
+                + eta / (2.0 * kappa + eta))
+
+    def kappa_integral(a):
+        # e^{a} times the kappa integral, in u = a (kappa - 1), split at the
+        # knee kappa = 2/eta of r_TM (past u = 60 it adds below e^{-60})
+        def h(u):
+            return math.exp(-u) * g(1.0 + u / a) / a
+
+        u_knee = min(a * (2.0 / eta - 1.0), 60.0)
+        return (quad(h, 0.0, u_knee, epsabs=0.0, epsrel=1e-13)[0]
+                + quad(h, u_knee, math.inf, epsabs=0.0, epsrel=1e-13)[0])
+
+    def f(xi):
+        a = 2.0 * xi * z / c
+        return (xi**3 * strength / (1.0 + (xi / w) ** 2) * math.exp(-a)
+                * kappa_integral(a))
+
+    # the atom, the retardation scale and the xi where a = eta/2
+    scales = (w, c / (2 * z), eta * c / (4 * z))
+    xi_lo = 1e-3 * min(scales)
+    xi_hi = 1e3 * max(w, c / (2 * z))
+    head = quad(f, 0.0, xi_lo, epsabs=0.0, epsrel=1e-13)[0]
+    body = quad(lambda s: f(math.exp(s)) * math.exp(s),
+                math.log(xi_lo), math.log(xi_hi),
+                points=tuple(math.log(x) for x in scales),
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return -(head + body) / (2.0 * math.pi * c**3)
+
+
+def test_sheet_table_matches_scalar_oracle_over_solver_range():
+    # every third z of a table one decade per step: 1e-8, 1e-5, ..., 1e7 a0
+    sheet = graphene_sheet()
+    table = build_potential_table(MirrorSpec.conducting_sheet(sheet),
+                                  1e-8, 1e7, 16)
+    for z, v in zip(table.z[::3], table.V[::3]):
+        assert v == pytest.approx(_sheet_potential_oracle(sheet.eta, z),
+                                  rel=1e-10, abs=0)
+
+
 def test_unreachable_accuracy_target_reports_estimate(monkeypatch):
-    from qrmirror import potential
     from qrmirror.potential import QuadratureError
     monkeypatch.setattr(potential, "_TARGET_REL", 1e-16)
     with pytest.raises(QuadratureError, match="relative error"):
-        cp_potential_point(PC, 1.0)
+        _v_at(PC, 1.0)
 
 
 def test_q_cut_and_refinement_limits_leave_the_value(monkeypatch):
-    from qrmirror import potential
     silica = MirrorSpec.bulk(_SILICA)
-    v = cp_potential_point(silica, 1e2)
+    v = _v_at(silica, 1e2)
     # a 100x lower q cut adds nothing the q rule resolves
     monkeypatch.setattr(potential, "_Q_LO", potential._Q_LO / 100.0)
-    assert cp_potential_point(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+    assert _v_at(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
     monkeypatch.undo()
     # no xi panel ever meets a zero budget: refinement stops at the panel cap
     monkeypatch.setattr(potential, "_PANEL_RTOL", 0.0)
-    assert cp_potential_point(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+    assert _v_at(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
+
+
+# one mirror of each kind, on the solver range
+_KINDS = {
+    "pc": PC,
+    "bulk": MirrorSpec.bulk(_SILICA),
+    "slab": MirrorSpec.slab_nm(_SILICA, 5.0),
+    "sheet": MirrorSpec.conducting_sheet(graphene_sheet()),
+    "porous": MirrorSpec.porous(load_builtin("silicon"), 0.5),
+}
 
 
 def test_amplitude_pairs_per_table_are_few_and_grid_independent(monkeypatch):
     # amplitude pairs counted at the layer boundary, weighted by array size:
     # F(q) is evaluated once per q node, whatever the number of table points
+    # (none for the perfect conductor, whose F is closed-form)
     pairs = []
     reflection = MirrorSpec.reflection
 
@@ -203,32 +269,51 @@ def test_amplitude_pairs_per_table_are_few_and_grid_independent(monkeypatch):
         return reflection(self, xi, kappa)
 
     monkeypatch.setattr(MirrorSpec, "reflection", counted)
-    silica = MirrorSpec.bulk(_SILICA)
-    counts = []
-    for n_points in (48, 480):
-        pairs.clear()
-        build_potential_table(silica, 1e-8, 1e7, n_points)
-        counts.append(sum(pairs))
-    assert 0 < counts[1] <= 1_000_000
-    assert counts[0] == counts[1]
+    for kind, mirror in _KINDS.items():
+        counts = []
+        for n_points in (48, 480):
+            pairs.clear()
+            build_potential_table(mirror, 1e-8, 1e7, n_points)
+            counts.append(sum(pairs))
+        assert (counts[1] > 0) == (kind != "pc"), kind
+        assert counts[1] <= 100_000, kind
+        assert counts[0] == counts[1], kind
+
+
+def test_sheet_without_conductivity_is_the_free_space_table():
+    # V = 0 at every z is no underflow; the knee edge eta c q / 2 is 0, so
+    # the first xi panel ends at the 1e-100 cq floor
+    table = build_potential_table(
+        MirrorSpec.conducting_sheet(SheetModel(0.0)), 1e-8, 1e7, 16)
+    assert table.is_null
+
+
+def test_q_panel_width_changes_no_digits(monkeypatch):
+    # panels 1 wide in ln q hold twice the q nodes of the default rule
+    tables = {kind: build_potential_table(mirror, 1e-8, 1e7, 48)
+              for kind, mirror in _KINDS.items()}
+    monkeypatch.setattr(potential, "_Q_PANEL", 1.0)
+    for kind, mirror in _KINDS.items():
+        v = build_potential_table(mirror, 1e-8, 1e7, 48).V
+        np.testing.assert_allclose(tables[kind].V, v, rtol=1e-13, atol=0,
+                                   err_msg=kind)
 
 
 def test_non_finite_integrand_raises(monkeypatch):
-    from qrmirror import potential
     from qrmirror.optics import Polarizability
     from qrmirror.potential import QuadratureError
     monkeypatch.setattr(potential, "DEFAULT_POLARIZABILITY",
                         Polarizability(((math.nan, 0.4),)))
     with pytest.raises(QuadratureError, match="relative error"):
-        cp_potential_point(PC, 1.0)
+        _v_at(PC, 1.0)
 
 
 def test_pc_agrees_with_huge_epsilon_bulk():
     from qrmirror.optics import DielectricModel, Oscillator
     big = DielectricModel("metalish", (Oscillator(1e12, 1e-4),))
     for z in (1.0, 1e3, 1e5):
-        v_pc = cp_potential_point(PC, z)
-        v_big = cp_potential_point(MirrorSpec.bulk(big), z)
+        v_pc = _v_at(PC, z)
+        v_big = _v_at(MirrorSpec.bulk(big), z)
         assert v_big == pytest.approx(v_pc, rel=5e-3)
 
 
@@ -250,7 +335,7 @@ def test_vdw_integral_against_quadrature_small_z():
                    MirrorSpec.bulk(load_builtin("silica"))):
         c3_closed = vdw_coefficient_integral(mirror)
         z = 1e-4
-        c3_quad = -cp_potential_point(mirror, z) * z**3
+        c3_quad = -_v_at(mirror, z) * z**3
         assert c3_quad == pytest.approx(c3_closed, rel=2e-4)
 
 
@@ -312,7 +397,7 @@ def test_interpolation_contract(pc_default_table):
     # off-grid interpolated values within 0.1% of direct quadrature
     for z in (0.37, 12.9, 431.0, 2.7e4, 3.3e6):
         vi = pc_default_table.potential(z)
-        vq = cp_potential_point(PC, z)
+        vq = _v_at(PC, z)
         assert vi == pytest.approx(vq, rel=1e-3)
 
 
