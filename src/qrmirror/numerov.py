@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.lapack import dtbtrs
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
@@ -55,6 +54,8 @@ def _phase_between(table: PotentialTable, energy_au: float,
 def numerov_reflection(table: PotentialTable, energy_au: float,
                        z_start: float, z_end: float) -> NumerovResult:
     """|r| from Numerov integration between the given WKB-exact endpoints."""
+    from scipy.linalg.lapack import dtbtrs   # the only user of scipy here
+
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
     if not table.z_min <= z_start < z_end <= table.z_max:
@@ -93,7 +94,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     # are two right-hand sides of the same system.
     done = False
     while not done:
-        bases, counts, ends = [], [], []
+        bases, counts = [], []
+        doubles = False
         z = z_last
         for _ in range(_BLOCK_CHUNKS):
             n_max = int(min(max(64, 4 * ppw), math.ceil((z_end - z) / h) + 1,
@@ -107,14 +109,12 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             if z >= z_end:
                 done = True
                 break
-            ends.append(z)
+            k = math.sqrt(two_m * (energy_au - table.derivatives_scalar(z)[0]))
+            if 2.0 * math.pi / (k * h) >= 2.0 * ppw:
+                doubles = True
+                break
         if not counts:
             break
-        doubles = np.flatnonzero(
-            2.0 * math.pi / (wavevector(np.array(ends)) * h) >= 2.0 * ppw)
-        if doubles.size:
-            del bases[doubles[0] + 1:], counts[doubles[0] + 1:]
-            done = False
         # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i
         sizes = np.array(counts) + 2
         p = np.cumsum(sizes) - sizes
@@ -139,7 +139,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         z_last = float(z_nodes[-1])
         psi_tail = psi[-(counts[-1] + 2):]
         z_tail = z_nodes[-(counts[-1] + 2):]
-        if doubles.size:
+        if doubles:
             seed = psi[[-3, -1]]
             h *= 2.0
         else:

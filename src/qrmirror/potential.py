@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from numpy.polynomial.legendre import leggauss
 
 from .constants import CONSTANTS
@@ -195,11 +193,13 @@ _G_W = np.zeros_like(_GK_W)
 _G_W[1::2] = leggauss(10)[1]
 
 _PANEL_RTOL = 1e-11    # budget of |K21 - G10| per xi panel, relative to its F(q)
-# Refinement stops after _MAX_ROUNDS bisection rounds, or once more than
-# _MAX_PANELS panels are pending; the panels still over budget then count
-# with their error estimates, which QuadratureError reports.
+# Refinement stops after _MAX_ROUNDS bisection rounds, and for one q node
+# (owner) once more than _MAX_PANELS of its panels are pending; the panels
+# still over budget then count with their error estimates, which
+# QuadratureError reports.  The cap is per owner, so the accuracy a table
+# reaches does not depend on how many q nodes share a pass (_BLOCK).
 _MAX_ROUNDS = 40
-_MAX_PANELS = 1024
+_MAX_PANELS = 32
 _TARGET_REL = 1e-6     # relative accuracy that every V(z) must reach
 # The q rule spans [_Q_LO/z_max, _Q_HI/z_min].  Below the cut F grows at
 # least as q^2, so V(z) loses at most (4/3)(_Q_LO z/z_max)^3 ~ 1e-18 of
@@ -217,7 +217,8 @@ def _gauss_kronrod(f, lo, hi, log, owner, n):
     log[i], else in xi.  f(xi, owner) is evaluated once per bisection round,
     on every node of that round.  A panel passes when its |K21 - G10| is
     within _PANEL_RTOL of its owner's total; the others are bisected until
-    all pass or refinement stops.
+    all pass or refinement stops (for all owners, or for one owner with
+    more than _MAX_PANELS panels pending).
     """
     values = np.zeros(n)
     err = np.zeros(n)
@@ -231,8 +232,10 @@ def _gauss_kronrod(f, lo, hi, log, owner, n):
         e = np.abs(k - fx @ _G_W)
         total = np.abs(values + np.bincount(owner, weights=k, minlength=n))[owner]
         ok = (e <= _PANEL_RTOL * total) | ~np.isfinite(total)
-        if rnd == _MAX_ROUNDS - 1 or lo.size > _MAX_PANELS:
+        if rnd == _MAX_ROUNDS - 1:
             ok[:] = True
+        else:
+            ok |= (np.bincount(owner, minlength=n) > _MAX_PANELS)[owner]
         values += np.bincount(owner[ok], weights=k[ok], minlength=n)
         err += np.bincount(owner[ok], weights=e[ok], minlength=n)
         if ok.all():
@@ -364,6 +367,8 @@ def vdw_coefficient_integral(mirror: MirrorSpec) -> float:
     (eps-1)/(eps+1) is 1 for a perfect conductor and the kappa -> inf limit
     of r_TM otherwise).
     """
+    from scipy.integrate import quad   # the only user of scipy here
+
     alpha = DEFAULT_POLARIZABILITY
     if mirror.kind == "perfect_conductor":
         return alpha.integral / (4.0 * math.pi)
@@ -439,6 +444,44 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
     return Asymptotics(**fit)
 
 
+def _natural_spline(x, y):
+    """(4, n-1) coefficients of the natural cubic spline through (x, y),
+    those of scipy's ``CubicSpline(x, y, bc_type="natural").c`` bit for bit.
+
+    The slopes s at the knots solve the tridiagonal system, with dx = diff(x)
+    and m = diff(y)/dx,
+
+        2 dx_0 s_0 + dx_0 s_1 = 3 (y_1 - y_0)       (and its mirror at the end)
+        dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+            = 3 (dx_i m_{i-1} + dx_{i-1} m_i),
+
+    eliminated as LAPACK's dgtsv does when it does not pivot, which it never
+    does on a log-uniform grid: every row is diagonally dominant.
+    """
+    dx = np.diff(x)
+    m = np.diff(y) / dx
+    d = np.empty_like(x)
+    d[0], d[1:-1], d[-1] = 2 * dx[0], 2 * (dx[:-1] + dx[1:]), 2 * dx[-1]
+    b = np.empty_like(x)
+    b[0] = 3 * (y[1] - y[0])
+    b[1:-1] = 3 * (dx[1:] * m[:-1] + dx[:-1] * m[1:])
+    b[-1] = 3 * (y[-1] - y[-2])
+    h = dx.tolist()
+    upper = h[:1] + h[:-1]     # row i's coefficient of s_{i+1}
+    lower = h[1:] + h[-1:]     # row i+1's coefficient of s_i
+    d, b = d.tolist(), b.tolist()
+    for i in range(len(d) - 1):
+        f = lower[i] / d[i]
+        d[i + 1] -= f * upper[i]
+        b[i + 1] -= f * b[i]
+    b[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / d[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2 * m) / dx
+    return np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
 class PotentialTable:
     """V(z) on a log-uniform grid, read through one log-log cubic spline.
 
@@ -477,7 +520,7 @@ class PotentialTable:
                 raise ValueError("potential must be negative everywhere")
             if np.any(np.diff(v) <= 0):
                 raise ValueError("potential must increase strictly toward zero")
-            self._c = CubicSpline(t, np.log(-v), bc_type="natural").c
+            self._c = _natural_spline(t, np.log(-v))
             # plain-float copies for the scalar hot loop
             self._knots = t.tolist()
             self._c0, self._c1, self._c2, self._c3 = self._c.tolist()

@@ -1,8 +1,9 @@
 """Shared fixtures: solver-grade potential tables are expensive (seconds
 each), so they are built once per session and shared across modules.
 
-``run_cli`` runs ``python -m qrmirror`` in a child process that imports
-the same ``qrmirror`` this test process imported.
+``run_python`` runs ``python`` (``run_cli``: ``python -m qrmirror``) in a
+child process that imports the same ``qrmirror`` this test process
+imported.
 
 Hypothesis runs derandomized and without its example database: every run
 of a property test draws the same examples, so two runs of the suite (on
@@ -29,9 +30,9 @@ settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")
-def run_cli():
-    """Callable ``run_cli(*args, cwd=None, timeout=900)`` that runs the CLI
-    as ``python -m qrmirror *args`` and returns the CompletedProcess.
+def run_python():
+    """Callable ``run_python(*args, cwd=None, timeout=900)`` that runs
+    ``python *args`` and returns the CompletedProcess.
 
     The child's PYTHONPATH starts with the absolute directory holding the
     imported ``qrmirror`` (``src/`` or site-packages), so a child started
@@ -44,9 +45,18 @@ def run_cli():
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
 
     def run(*args: str, cwd=None, timeout=900) -> subprocess.CompletedProcess:
-        cmd = [sys.executable, "-m", "qrmirror", *args]
-        return subprocess.run(cmd, capture_output=True, text=True, cwd=cwd,
-                              env=env, timeout=timeout)
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, cwd=cwd, env=env, timeout=timeout)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def run_cli(run_python):
+    """Callable ``run_cli(*args, cwd=None, timeout=900)`` that runs the CLI
+    as ``python -m qrmirror *args`` in a ``run_python`` child."""
+    def run(*args: str, cwd=None, timeout=900) -> subprocess.CompletedProcess:
+        return run_python("-m", "qrmirror", *args, cwd=cwd, timeout=timeout)
 
     return run
 

@@ -148,6 +148,21 @@ def test_reproduce_accepts_output_config(monkeypatch, tmp_path):
     assert [c["status"] for c in cells] == ["pass"] * 6
 
 
+def test_library_and_cli_load_no_scipy(run_python, tmp_path):
+    # scipy serves only vdw_coefficient_integral and numerov_reflection,
+    # which import it themselves: the library, the CLI and a reproduce run
+    # load numpy alone
+    code = ("import sys, qrmirror, qrmirror.cli\n"
+            "code = qrmirror.cli.main(['reproduce', 'table1', '--format', "
+            "'csv', '--no-timestamp', '--out', 'table1.csv'])\n"
+            "print(code, sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy'))")
+    cp = run_python("-c", code, cwd=tmp_path)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "table1.csv").exists()
+
+
 def test_slab_and_porosity_conflict(run_cli, tmp_path):
     cp = run_cli("potential", "--mirror", "silica", "--slab-nm", "5",
                  "--porosity", "0.5", cwd=tmp_path)

@@ -299,6 +299,17 @@ def test_q_panel_width_changes_no_digits(monkeypatch):
                                    err_msg=kind)
 
 
+def test_block_size_changes_no_digits(monkeypatch):
+    # the panel cap counts the pending panels of each q node, so eight
+    # times the q nodes per pass reach the same F on every node
+    tables = {kind: build_potential_table(mirror, 1e-8, 1e7, 48)
+              for kind, mirror in _KINDS.items()}
+    monkeypatch.setattr(potential, "_BLOCK", 256)
+    for kind, mirror in _KINDS.items():
+        v = build_potential_table(mirror, 1e-8, 1e7, 48).V
+        np.testing.assert_array_equal(tables[kind].V, v, err_msg=kind)
+
+
 def test_non_finite_integrand_raises(monkeypatch):
     from qrmirror.optics import Polarizability
     from qrmirror.potential import QuadratureError
@@ -369,6 +380,34 @@ def test_far_zone_c4_matches_closed_form(registry_table, name, c4):
     assert table.z_max == 1e7
     assert -table.V[-1] * table.z_max**4 == pytest.approx(closed, rel=1e-5)
     assert table.c4 == pytest.approx(closed, rel=2e-4)
+
+
+def _c5_closed_form(mirror):
+    """Thin-slab far-zone C5 = (3 alpha(0) c d/4 pi) Int_0^1 du w [(2 - u^2)
+    r_TM/(1 - r_TM^2) - u^2 r_TE/(1 - r_TE^2)], w = sqrt(1 + (eps(0) - 1)
+    u^2), the half-space amplitudes r at eps(0) and kappa = 1/u: the small-q
+    limit r_slab -> 2 q w d r/(1 - r^2) of the slab amplitudes (q w is the
+    normal wave vector inside the slab) carried through the q transform."""
+    eps0 = mirror.dielectric.static_epsilon
+
+    def g(u):
+        r_tm, r_te = fresnel(eps0, 1.0 / u)
+        w = math.sqrt(1.0 + (eps0 - 1.0) * u * u)
+        return w * ((2.0 - u * u) * r_tm / (1.0 - r_tm * r_tm)
+                    - u * u * r_te / (1.0 - r_te * r_te))
+
+    integral = quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]
+    return (3.0 * DEFAULT_POLARIZABILITY.static * CONSTANTS.c_au
+            * mirror.thickness_au / (4.0 * math.pi) * integral)
+
+
+def test_slab_far_zone_c5_matches_closed_form(slab_table):
+    closed = _c5_closed_form(_mirror_registry()["silica_slab_5nm"])
+    assert closed == pytest.approx(21_257.7, abs=0.1)
+    assert slab_table.z_max == 1e7
+    assert -slab_table.V[-1] * slab_table.z_max**5 == pytest.approx(
+        closed, rel=1e-4)
+    assert slab_table.c5 == pytest.approx(closed, rel=1e-3)
 
 
 # -- tables ------------------------------------------------------------------
@@ -574,6 +613,19 @@ def test_csv_export_columns(pc_default_table, tmp_path):
 
 
 # -- one evaluator -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", [
+    *_mirror_registry(), "pure_c3_table", "pure_c4_table"])
+def test_spline_is_scipys_natural_cubic_spline(request, registry_table, name):
+    # the numpy spline reproduces CubicSpline's coefficients bit for bit
+    from scipy.interpolate import CubicSpline
+
+    table = (request.getfixturevalue(name) if name.startswith("pure_")
+             else registry_table(name))
+    t = np.log(table.z)
+    expected = CubicSpline(t, np.log(-table.V), bc_type="natural").c
+    np.testing.assert_array_equal(table._c, expected)
 
 
 def test_scalar_and_array_paths_agree(pc_table):
