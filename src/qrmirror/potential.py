@@ -15,10 +15,13 @@ row of a matrix product.  The q rule is a 21-point Gauss-Kronrod rule on
 panels at most 2 wide in ln q; the finite xi range of each F is a first
 panel linear in xi, ending at 0.3 times the smallest response scale or,
 for a sheet, at the knee xi = eta c q / 2 of r_TM if that is lower, and
-then decades of ln xi.  All panels of a block of q nodes go through one
-vectorised Gauss-Kronrod pass, with only the panels over budget bisected
-and passed again.  Each pass evaluates the reflection amplitudes once, on
-every (xi, kappa) node pair.
+then decades of ln xi.  A sheet's decades run up to cq; a dielectric's
+end at 1e5 times its largest response scale if that is lower, where the
+integrand has fallen as xi^-4 and the rest is below 1e-14 of F.  All
+panels of a block of q nodes go through one vectorised Gauss-Kronrod
+pass, with only the panels over budget, 1e-8 of F (a hundredth of V's
+1e-6 target), bisected and passed again.  Each pass evaluates the
+reflection amplitudes once, on every (xi, kappa) node pair.
 
 The overall constant is not taken on trust: it is locked by two anchors that
 the perfect-conductor potential must reproduce simultaneously,
@@ -192,7 +195,6 @@ _GK_W = np.concatenate([_GK_W[:-1], _GK_W[::-1]])
 _G_W = np.zeros_like(_GK_W)
 _G_W[1::2] = leggauss(10)[1]
 
-_PANEL_RTOL = 1e-11    # budget of |K21 - G10| per xi panel, relative to its F(q)
 # Refinement stops after _MAX_ROUNDS bisection rounds, and for one q node
 # (owner) once more than _MAX_PANELS of its panels are pending; the panels
 # still over budget then count with their error estimates, which
@@ -201,10 +203,25 @@ _PANEL_RTOL = 1e-11    # budget of |K21 - G10| per xi panel, relative to its F(q
 _MAX_ROUNDS = 40
 _MAX_PANELS = 32
 _TARGET_REL = 1e-6     # relative accuracy that every V(z) must reach
+# Budget of |K21 - G10| per xi panel, relative to its F(q): two decades
+# inside the target, which V's error estimate sums over the panels of a q
+# node and the q nodes of a z.  QUADPACK's K21 - G10 is itself pessimistic
+# (Piessens et al., 1983): a panel that meets it is far more accurate.
+_PANEL_RTOL = _TARGET_REL / 100
 # The q rule spans [_Q_LO/z_max, _Q_HI/z_min].  Below the cut F grows at
 # least as q^2, so V(z) loses at most (4/3)(_Q_LO z/z_max)^3 ~ 1e-18 of
 # itself; above it e^{-2qz} <= e^{-100}.
 _Q_LO, _Q_HI = 1e-6, 50.0
+# The xi panels of a dielectric mirror (bulk, slab, porous) end at
+# min(cq, _XI_CUT w_max), w_max the largest response scale, the atom's
+# included.  Above w_max, alpha ~ xi^-2 and eps - 1 <= Omega^2/xi^2
+# (Omega^2 = Sum wp^2; Bruggeman's eps - 1 is below its host's, a slab's r
+# below the bulk's), so the TM term falls as xi^-4 and the TE term tends to
+# the constant Omega^2 alpha(0) w^2 / (4 c^2 q^2): F loses about
+# (Omega/w_max)^2 (w_max/xi_cut)^3 of itself, at most 1e-14 for a shipped
+# material (Omega <= 2.2 w_max).  A sheet's TE term grows as xi up to cq,
+# so its panels run to cq.
+_XI_CUT = 1e5
 _Q_PANEL = 2.0         # width of a q panel in ln q (at most)
 _BLOCK = 32            # q nodes per F evaluation, z rows per e^{-2qz} block
 _LN10 = math.log(10.0)
@@ -225,7 +242,8 @@ def _gauss_kronrod(f, lo, hi, log, owner, n):
     for rnd in range(_MAX_ROUNDS):
         half = 0.5 * (hi - lo)
         t = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
-        xi = np.where(log[:, None], np.exp(t), t)
+        xi = t.copy()
+        xi[log] = np.exp(t[log])
         fx = f(xi, owner[:, None])
         fx *= np.where(log[:, None], xi, 1.0) * half[:, None]
         k = fx @ _GK_W
@@ -244,18 +262,19 @@ def _gauss_kronrod(f, lo, hi, log, owner, n):
         lo, hi, log, owner = lo[bad], hi[bad], log[bad], owner[bad]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        log, owner = np.tile(log, 2), np.tile(owner, 2)
+        log, owner = np.concatenate([log, log]), np.concatenate([owner, owner])
     return values, err
 
 
 def _f_of_q(mirror: MirrorSpec, q):
     """F(q) and its xi error estimate (summed |K21 - G10|) on q nodes.
 
-    The xi range [0, cq] of each q is split into panels: [0, min(lo, cq)] in
-    xi, then decades in s = ln xi from lo up to cq, where lo is 0.3 times
-    the smallest response scale (atom and mirror), or for a sheet its knee
-    eta cq / 2 if that is lower.  The perfect conductor's F is closed-form:
-    2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
+    The xi range [0, hi] of each q is split into panels: [0, min(lo, hi)]
+    in xi, then decades in s = ln xi from lo up to hi.  lo is 0.3 times the
+    smallest response scale (atom and mirror), or for a sheet its knee
+    eta cq / 2 if that is lower; hi is cq for a sheet and min(cq, _XI_CUT
+    w_max) for a dielectric, w_max the largest response scale.  The perfect
+    conductor's F is closed-form: 2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
     """
     alpha = DEFAULT_POLARIZABILITY
     x = _C * q
@@ -264,14 +283,17 @@ def _f_of_q(mirror: MirrorSpec, q):
         return 2.0 * x * x * f, np.zeros_like(q)
     scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
     lo = np.full_like(x, 0.3 * min(scales))
+    x_hi = x
     if mirror.kind == "sheet":
         # sheet r_TM = y/(1 + y), y = eta x/(2 xi), has its knee at y = 1
         lo = np.minimum(lo, 0.5 * mirror.sheet.eta * x)
+    else:
+        x_hi = np.minimum(x, _XI_CUT * max(scales))
     # lo >= 1e-100 x keeps kappa^2 = (x/xi)^2 finite however thick a slab
     # (it binds past about 1e88 nm on the solver grid); below it
     # xi^2/x^2 < 1e-200, so the first panel sees a flat integrand
     s_lo = np.log(np.maximum(lo, 1e-100 * x.max()))
-    s_x = np.log(x)
+    s_x = np.log(x_hi)
     count = 1 + np.maximum(0.0, np.ceil((s_x - s_lo) / _LN10)).astype(np.intp)
     owner = np.repeat(np.arange(q.size), count)
     j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
@@ -279,7 +301,7 @@ def _f_of_q(mirror: MirrorSpec, q):
     s_lo = s_lo[owner]
     lo = np.where(log, s_lo + (j - 1) * _LN10, 0.0)
     hi = np.where(log, np.minimum(s_lo + j * _LN10, s_x[owner]),
-                  np.minimum(np.exp(s_lo), x[owner]))
+                  np.minimum(np.exp(s_lo), x_hi[owner]))
 
     def integrand(xi, owner):
         xq = x[owner]
