@@ -103,6 +103,11 @@ def _merge_settings(args) -> None:
             setattr(args, key, cfg.get(key, default))
 
 
+def _material_path(name: str) -> Path:
+    """A file if one exists at ``name``, else the shipped material ``name``."""
+    return Path(name) if Path(name).is_file() else builtin_material_path(name)
+
+
 def _resolve_mirror(args) -> MirrorSpec:
     name, slab_nm, porosity = args.mirror, args.slab_nm, args.porosity
     if not name:
@@ -117,9 +122,7 @@ def _resolve_mirror(args) -> MirrorSpec:
     if name == "vacuum":
         raise UsageError("vacuum is not a mirror")
 
-    path = Path(name)
-    if not path.is_file():
-        path = builtin_material_path(name)
+    path = _material_path(name)
     if material_file_kind(path) == "perfect_conductor":
         if slab_nm is not None or porosity is not None:
             raise UsageError("perfect conductor takes no slab/porosity modifier")
@@ -183,7 +186,7 @@ def _cmd_material(args) -> int:
         sheet = graphene_sheet()
         print("graphene: conducting sheet, eta =", f"{sheet.eta:.6g}")
         return 0
-    path = builtin_material_path(name)
+    path = _material_path(name)
     if material_file_kind(path) == "perfect_conductor":
         print("perfect_conductor: ideal mirror (r_TM = 1, r_TE = -1)")
         return 0

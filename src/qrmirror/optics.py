@@ -194,14 +194,17 @@ def bruggeman_mix(host: DielectricModel, porosity: float, xi):
 
     Solves (1-f)(e_m - e)/(e_m + 2e) + f(1 - e)/(1 + 2e) = 0 for the
     physical root e in [1, e_m]; reduces to a quadratic with positive root
-    e = (b + sqrt(b^2 + 8 e_m))/4, b = 2 e_m - 1 - 3 f (e_m - 1).
+    e = (b + sqrt(b^2 + 8 e_m))/4, b = 2 e_m - 1 - 3 f (e_m - 1), taken as
+    2 e_m/(sqrt(b^2 + 8 e_m) + |b|) for b < 0 (f > 2/3 and e_m large),
+    where the first form cancels.
     """
     if not 0.0 <= porosity <= 1.0:
         raise ValueError(f"porosity must be in [0, 1], got {porosity}")
     eps_m = host.epsilon(xi)
     f = porosity
     b = 2.0 * eps_m - 1.0 - 3.0 * f * (eps_m - 1.0)
-    eps_eff = 0.25 * (b + np.sqrt(b * b + 8.0 * eps_m))
+    root = np.sqrt(b * b + 8.0 * eps_m)
+    eps_eff = np.where(b >= 0, 0.25 * (b + root), 2 * eps_m / (root + abs(b)))
     if eps_eff.ndim:
         return eps_eff
     return float(eps_eff)

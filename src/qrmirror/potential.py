@@ -17,11 +17,11 @@ panel linear in xi, ending at 0.3 times the smallest response scale or,
 for a sheet, at the knee xi = eta c q / 2 of r_TM if that is lower, and
 then decades of ln xi.  A sheet's decades run up to cq; a dielectric's
 end at 1e5 times its largest response scale if that is lower, where the
-integrand has fallen as xi^-4 and the rest is below 1e-14 of F.  All
-panels of a block of q nodes go through one vectorised Gauss-Kronrod
-pass, with only the panels over budget, 1e-8 of F (a hundredth of V's
-1e-6 target), bisected and passed again.  Each pass evaluates the
-reflection amplitudes once, on every (xi, kappa) node pair.
+integrand has fallen as xi^-4 and the rest is below 1e-14 of F.  The
+response scales include both poles of an overdamped oscillator, so no
+panel needs bisection: all panels of a block of q nodes go through one
+vectorised Gauss-Kronrod pass, which evaluates the reflection amplitudes
+once on every (xi, kappa) node pair.
 
 The overall constant is not taken on trust: it is locked by two anchors that
 the perfect-conductor potential must reproduce simultaneously,
@@ -138,11 +138,17 @@ class MirrorSpec:
         return f"porous {self.dielectric.name} f={self.porosity:g}"
 
     def response_scales_au(self) -> list[float]:
-        """Imaginary-frequency scales structuring the response (Eh)."""
+        """Imaginary-frequency scales structuring the response (Eh): each
+        oscillator's pole magnitudes, the roots of xi^2 + gamma xi + w0^2 (w0
+        unless gamma > 2 w0, then big and w0^2/big), and a slab's c/2d."""
         scales: list[float] = []
-        if self.dielectric is not None:
-            scales += [math.sqrt(o.resonance_sq)
-                       for o in self.dielectric.oscillators]
+        for o in self.dielectric.oscillators if self.dielectric else ():
+            w0, g = math.sqrt(o.resonance_sq), o.damping
+            if g <= 2.0 * w0:
+                scales.append(w0)
+            else:
+                big = 0.5 * (g + math.sqrt((g - 2.0 * w0) * (g + 2.0 * w0)))
+                scales += [big, o.resonance_sq / big]
         if self.kind == "slab":
             scales.append(_C / (2.0 * self.thickness_au))
         return scales
@@ -195,19 +201,7 @@ _GK_W = np.concatenate([_GK_W[:-1], _GK_W[::-1]])
 _G_W = np.zeros_like(_GK_W)
 _G_W[1::2] = leggauss(10)[1]
 
-# Refinement stops after _MAX_ROUNDS bisection rounds, and for one q node
-# (owner) once more than _MAX_PANELS of its panels are pending; the panels
-# still over budget then count with their error estimates, which
-# QuadratureError reports.  The cap is per owner, so the accuracy a table
-# reaches does not depend on how many q nodes share a pass (_BLOCK).
-_MAX_ROUNDS = 40
-_MAX_PANELS = 32
 _TARGET_REL = 1e-6     # relative accuracy that every V(z) must reach
-# Budget of |K21 - G10| per xi panel, relative to its F(q): two decades
-# inside the target, which V's error estimate sums over the panels of a q
-# node and the q nodes of a z.  QUADPACK's K21 - G10 is itself pessimistic
-# (Piessens et al., 1983): a panel that meets it is far more accurate.
-_PANEL_RTOL = _TARGET_REL / 100
 # The q rule spans [_Q_LO/z_max, _Q_HI/z_min].  Below the cut F grows at
 # least as q^2, so V(z) loses at most (4/3)(_Q_LO z/z_max)^3 ~ 1e-18 of
 # itself; above it e^{-2qz} <= e^{-100}.
@@ -228,42 +222,23 @@ _LN10 = math.log(10.0)
 
 
 def _gauss_kronrod(f, lo, hi, log, owner, n):
-    """Integrals over xi of n owners and their summed |K21 - G10|.
+    """Integrals over xi of n owners and their summed |K21 - G10|, in one
+    pass: f(xi, owner) is evaluated once, on every node of every panel.
 
     Panel i belongs to owner[i] and spans [lo[i], hi[i]] in s = ln xi where
-    log[i], else in xi.  f(xi, owner) is evaluated once per bisection round,
-    on every node of that round.  A panel passes when its |K21 - G10| is
-    within _PANEL_RTOL of its owner's total; the others are bisected until
-    all pass or refinement stops (for all owners, or for one owner with
-    more than _MAX_PANELS panels pending).
+    log[i], else in xi.  No panel is bisected: _f_of_q lays the panels out
+    from the response scales, a damped oscillator's poles among them.
     """
-    values = np.zeros(n)
-    err = np.zeros(n)
-    for rnd in range(_MAX_ROUNDS):
-        half = 0.5 * (hi - lo)
-        t = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
-        xi = t.copy()
-        xi[log] = np.exp(t[log])
-        fx = f(xi, owner[:, None])
-        fx *= np.where(log[:, None], xi, 1.0) * half[:, None]
-        k = fx @ _GK_W
-        e = np.abs(k - fx @ _G_W)
-        total = np.abs(values + np.bincount(owner, weights=k, minlength=n))[owner]
-        ok = (e <= _PANEL_RTOL * total) | ~np.isfinite(total)
-        if rnd == _MAX_ROUNDS - 1:
-            ok[:] = True
-        else:
-            ok |= (np.bincount(owner, minlength=n) > _MAX_PANELS)[owner]
-        values += np.bincount(owner[ok], weights=k[ok], minlength=n)
-        err += np.bincount(owner[ok], weights=e[ok], minlength=n)
-        if ok.all():
-            break
-        bad = ~ok
-        lo, hi, log, owner = lo[bad], hi[bad], log[bad], owner[bad]
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        log, owner = np.concatenate([log, log]), np.concatenate([owner, owner])
-    return values, err
+    half = 0.5 * (hi - lo)
+    t = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
+    xi = t.copy()
+    xi[log] = np.exp(t[log])
+    fx = f(xi, owner[:, None])
+    fx *= np.where(log[:, None], xi, 1.0) * half[:, None]
+    k = fx @ _GK_W
+    e = np.abs(k - fx @ _G_W)
+    return (np.bincount(owner, weights=k, minlength=n),
+            np.bincount(owner, weights=e, minlength=n))
 
 
 def _f_of_q(mirror: MirrorSpec, q):
@@ -271,10 +246,11 @@ def _f_of_q(mirror: MirrorSpec, q):
 
     The xi range [0, hi] of each q is split into panels: [0, min(lo, hi)]
     in xi, then decades in s = ln xi from lo up to hi.  lo is 0.3 times the
-    smallest response scale (atom and mirror), or for a sheet its knee
-    eta cq / 2 if that is lower; hi is cq for a sheet and min(cq, _XI_CUT
-    w_max) for a dielectric, w_max the largest response scale.  The perfect
-    conductor's F is closed-form: 2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
+    smallest response scale (atom and mirror, each overdamped oscillator's
+    two pole magnitudes among them), or for a sheet its knee eta cq / 2 if
+    that is lower; hi is cq for a sheet and min(cq, _XI_CUT w_max) for a
+    dielectric, w_max the largest response scale.  The perfect conductor's
+    F is closed-form: 2 c^2 q^2 Sum_j s_j w_j arctan(cq / w_j).
     """
     alpha = DEFAULT_POLARIZABILITY
     x = _C * q
@@ -511,9 +487,9 @@ class PotentialTable:
     1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
     of a natural cubic spline of ln|V| against t, fitted once.  The scalar
     path (``derivatives_scalar``, the solver's hot loop) and the array paths
-    take segment int((t - t0)/dt) clipped to [0, n-2] and run the same
-    Horner and chain-rule arithmetic; only ``math`` and numpy log/exp round
-    differently.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
+    (``potential``, and ``taylor``, which ``derivatives`` reads) take
+    segment int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding
+    alone.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
     raises ValueError; nothing is extrapolated.  V < 0 and strictly
     increasing toward zero for every physical mirror; the all-zero table is
     the free-space degenerate case used by tests.
@@ -596,20 +572,10 @@ class PotentialTable:
         return v, vp, vpp
 
     def derivatives(self, z_au):
-        """(V, V', V'') on an array of z, from the log-log spline."""
+        """(V, V', V'') on an array of z: a_0, a_1/z, 2 a_2/z^2 (``taylor``)."""
         z = np.asarray(z_au, dtype=float)
-        i, s = self._segments(z)
-        if self.is_null:
-            zero = np.zeros_like(z)
-            return zero, zero.copy(), zero.copy()
-        c0, c1, c2, c3 = self._c.take(i, axis=1)
-        w = ((c0 * s + c1) * s + c2) * s + c3
-        wp = (3.0 * c0 * s + 2.0 * c1) * s + c2
-        wpp = 6.0 * c0 * s + 2.0 * c1
-        v = -np.exp(w)
-        vp = v * wp / z
-        vpp = v * (wp * wp + wpp - wp) / (z * z)
-        return v, vp, vpp
+        a0, a1, a2 = self.taylor(z, 2)
+        return a0, a1 / z, 2.0 * a2 / (z * z)
 
     def taylor(self, z_au, order: int):
         """Coefficients a_k = z^k V^(k)(z) / k!, k = 0..order, of

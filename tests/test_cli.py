@@ -38,6 +38,20 @@ def test_material_show(run_cli):
     assert "11.87" in cp.stdout
 
 
+def test_material_show_reads_a_relative_path_as_mirror_does(monkeypatch,
+                                                            tmp_path, capsys):
+    # one name-to-path rule: a file where the name points, else a shipped
+    # material
+    (tmp_path / "damped.mat").write_text(
+        "name = damped\nosc = 1.0, 0.01, 100.0\n")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["material", "show", "damped.mat"]) == 0
+    out = capsys.readouterr().out
+    assert "damped: 1 oscillator(s)" in out and "gamma = 100 Eh" in out
+    assert cli.main(["potential", "--mirror", "damped.mat", "--points", "16",
+                     "--z-min-a0", "1", "--z-max-a0", "1e3"]) == 0
+
+
 def test_unknown_material_exits_2(run_cli):
     cp = run_cli("material", "show", "unobtainium")
     assert cp.returncode == 2

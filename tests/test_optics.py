@@ -254,6 +254,15 @@ def test_bruggeman_monotone_in_porosity():
     assert np.all(np.diff(eps) < 0)
 
 
+def test_bruggeman_root_keeps_its_digits_for_a_metal_host():
+    # above 2/3 porosity e tends to 1/(3f - 2) as e_m grows, here within
+    # 1e-10 of it at e_m = 1e11, where b^2 dwarfs 8 e_m
+    metal = DielectricModel("metal", (Oscillator(1.0, 1e-11),))
+    for f in (0.8, 0.95, 0.999):
+        assert bruggeman_mix(metal, f, 0.0) == pytest.approx(
+            1.0 / (3.0 * f - 2.0), rel=1e-9, abs=0), f
+
+
 def test_porosity_validation():
     # a porous mirror takes f in [0, 1); the mixing rule itself takes [0, 1]
     si = load_builtin("silicon")

@@ -10,6 +10,8 @@ from qrmirror.cli import _mirror_registry
 from qrmirror.constants import CONSTANTS
 from qrmirror.optics import (
     DEFAULT_POLARIZABILITY,
+    DielectricModel,
+    Oscillator,
     SheetModel,
     fresnel,
     graphene_sheet,
@@ -19,6 +21,7 @@ from qrmirror.potential import (
     MirrorSpec,
     PotentialTable,
     build_potential_table,
+    build_solver_table,
     extract_asymptotics,
     retarded_coefficient,
     retarded_reference,
@@ -235,31 +238,23 @@ def test_unreachable_accuracy_target_reports_estimate(monkeypatch):
         _v_at(PC, 1.0)
 
 
-def test_q_cut_and_refinement_limits_leave_the_value(monkeypatch):
+def test_q_and_xi_cuts_leave_the_value(monkeypatch):
     silica = MirrorSpec.bulk(_SILICA)
     v = _v_at(silica, 1e2)
     # a 100x lower q cut adds nothing the q rule resolves
     monkeypatch.setattr(potential, "_Q_LO", potential._Q_LO / 100.0)
     assert _v_at(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
     monkeypatch.undo()
-    # no xi panel ever meets a zero budget: refinement stops at the panel cap
-    monkeypatch.setattr(potential, "_PANEL_RTOL", 0.0)
-    assert _v_at(silica, 1e2) == pytest.approx(v, rel=1e-14, abs=0)
-    monkeypatch.undo()
-    # nor does a dielectric's xi cut 100x further out, or the panel budget
-    # at 1e-11 (1e-5 of the target) instead of 1e-2 of it
+    # nor does a dielectric's xi cut 100x further out
     mirrors = (silica, MirrorSpec.slab_nm(_SILICA, 5.0),
                MirrorSpec.porous(load_builtin("diamond"), 0.95))
     zs = (1e-6, 1e2, 1e5)
     values = [[_v_at(mirror, z) for z in zs] for mirror in mirrors]
-    for name, value in (("_XI_CUT", 100.0 * potential._XI_CUT),
-                        ("_PANEL_RTOL", 1e-11)):
-        monkeypatch.setattr(potential, name, value)
-        for mirror, vs in zip(mirrors, values):
-            for z, v in zip(zs, vs):
-                assert _v_at(mirror, z) == pytest.approx(v, rel=1e-14, abs=0), (
-                    name, mirror.label, z)
-        monkeypatch.undo()
+    monkeypatch.setattr(potential, "_XI_CUT", 100.0 * potential._XI_CUT)
+    for mirror, vs in zip(mirrors, values):
+        for z, v in zip(zs, vs):
+            assert _v_at(mirror, z) == pytest.approx(v, rel=1e-14, abs=0), (
+                mirror.label, z)
 
 
 # one mirror of each kind, on the solver range
@@ -315,19 +310,44 @@ def test_q_panel_width_changes_no_digits(monkeypatch):
 
 
 def test_block_size_changes_no_digits(monkeypatch):
-    # the panel cap counts the pending panels of each q node, so eight
-    # times the q nodes per pass reach the same F on every node.  At the
-    # default budget these kinds bisect no xi panel; at 1e-11 they do.
-    for budget in (potential._PANEL_RTOL, 1e-11):
-        monkeypatch.setattr(potential, "_PANEL_RTOL", budget)
-        tables = {kind: build_potential_table(mirror, 1e-8, 1e7, 48)
-                  for kind, mirror in _KINDS.items()}
-        monkeypatch.setattr(potential, "_BLOCK", 256)
-        for kind, mirror in _KINDS.items():
-            v = build_potential_table(mirror, 1e-8, 1e7, 48).V
-            np.testing.assert_array_equal(tables[kind].V, v,
-                                          err_msg=f"{kind} at {budget:g}")
-        monkeypatch.undo()
+    # each q node's xi panels are its own, so eight times the q nodes per
+    # pass reach the same F on every node
+    tables = {kind: build_potential_table(mirror, 1e-8, 1e7, 48)
+              for kind, mirror in _KINDS.items()}
+    monkeypatch.setattr(potential, "_BLOCK", 256)
+    for kind, mirror in _KINDS.items():
+        v = build_potential_table(mirror, 1e-8, 1e7, 48).V
+        np.testing.assert_array_equal(tables[kind].V, v, err_msg=kind)
+
+
+def test_response_scales_are_the_oscillator_poles():
+    # w0 up to critical damping; past it the two roots of
+    # xi^2 + gamma xi + w0^2, with product w0^2 and sum gamma
+    for gamma in (0.0, 0.1, 1.0):
+        model = DielectricModel("m", (Oscillator(1.0, 0.25, gamma),))
+        assert MirrorSpec.bulk(model).response_scales_au() == [0.5]
+    for w0_sq, gamma in ((1e-2, 100.0), (1e-12, 1e-3), (0.25, 1.0 + 1e-9)):
+        model = DielectricModel("m", (Oscillator(1.0, w0_sq, gamma),))
+        big, small = MirrorSpec.bulk(model).response_scales_au()
+        assert big * small == pytest.approx(w0_sq, rel=1e-15)
+        assert big + small == pytest.approx(gamma, rel=1e-15)
+        assert big > 0.5 * gamma > small > 0
+
+
+@pytest.mark.parametrize("oscillator", [
+    Oscillator(1.0, 1e-2, 100.0), Oscillator(0.1, 1e-12, 1e-3)],
+    ids=["overdamped", "drude"])
+def test_damped_oscillators_build_solver_tables(oscillator):
+    # one Gauss-Kronrod pass per xi panel meets the 1e-6 target (else the
+    # build raises QuadratureError) because the panel layout holds both
+    # poles of a damped oscillator's eps(i xi) term; with w0 alone the
+    # overdamped slab misses it (3.1e-6 at z = 78 a0 on 48 points, 1.05e-6
+    # at z = 51 a0 on 480)
+    model = DielectricModel("damped", (oscillator,))
+    for mirror in (MirrorSpec.bulk(model), MirrorSpec.slab_nm(model, 5.0),
+                   MirrorSpec.porous(model, 0.95)):
+        for n_points in (48, 480):
+            build_solver_table(mirror, n_points)
 
 
 def test_non_finite_integrand_raises(monkeypatch):
