@@ -9,10 +9,10 @@ table, entirely different formulation and integrator.
 The complex wavefunction is seeded with the toward-surface WKB wave at the
 near end (full absorption leaves no outgoing wave there), marched outward
 on piecewise-uniform grids whose step doubles as the local de Broglie
-wavelength grows (a few chunks at a time, each block one banded
-lower-triangular solve by LAPACK's dtbtrs), and projected onto the WKB
-basis at the far end.  Only |r| is convention-free and compared against
-the amplitude solver.
+wavelength grows (a few chunks at a time, each block one banded unit
+lower-triangular solve by LAPACK's dtbtrs, with the Numerov factor f taken
+straight from V), and projected onto the WKB basis at the far end.  Only
+|r| is convention-free and compared against the amplitude solver.
 """
 
 from __future__ import annotations
@@ -118,23 +118,33 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i
         sizes = np.array(counts) + 2
         p = np.cumsum(sizes) - sizes
-        z_nodes = np.repeat(bases, sizes) + h * (
-            np.arange(sizes.sum()) - np.repeat(p + 1, sizes))
-        f = 1.0 + (h * h / 12.0) * (wavevector(z_nodes) ** 2)
-        # LAPACK band storage, one column per node: f2, -(12 - 10 f1) and
-        # f0 of the rows that read it.  The two nodes at the start p of each
-        # chunk repeat the two nodes before them, or at p = 0 hold the seed
-        # (its writes before p land in band slots outside the matrix).
+        if len(set(counts)) == 1:   # equal chunks: one outer sum
+            z_nodes = (np.array(bases)[:, None]
+                       + h * np.arange(-1.0, counts[0] + 1)).ravel()
+        else:
+            z_nodes = np.repeat(bases, sizes) + h * (
+                np.arange(sizes.sum()) - np.repeat(p + 1, sizes))
+        # f = 1 + (h^2/12) 2m (E - V), in place on the fresh V array
+        f = table.potential(z_nodes)
+        np.subtract(energy_au, f, out=f)
+        f *= two_m
+        f *= h * h / 12.0
+        f += 1.0
+        # LAPACK band storage, one column per node, each row divided by its
+        # f2: a unit diagonal (row 0, which diag="U" never reads), then
+        # -(12 - 10 f1)/f2 and f0/f2 of the rows that read it, so the serial
+        # substitution only multiplies and adds.  The two nodes at the start
+        # p of each chunk repeat the two nodes before them, or at p = 0 hold
+        # the seed (its writes before p land in band slots outside the
+        # matrix).
         ab = np.empty((3, z_nodes.size), order="F")
-        ab[0] = f
-        ab[1, :-1] = 10.0 * f[:-1] - 12.0
-        ab[2, :-2] = f[:-2]
-        ab[0, p] = ab[0, p + 1] = 1.0
+        ab[1, :-1] = (10.0 * f[:-1] - 12.0) / f[1:]
+        ab[2, :-2] = f[:-2] / f[2:]
         ab[1, p - 1] = ab[1, p] = 0.0
         ab[2, p - 2] = ab[2, p - 1] = -1.0
         psi = np.zeros((2, z_nodes.size)).T
         psi[:2] = seed
-        psi, _ = dtbtrs(ab, psi, uplo="L", overwrite_b=True)
+        psi, _ = dtbtrs(ab, psi, uplo="L", diag="U", overwrite_b=True)
         total_points += sum(counts)
         z_last = float(z_nodes[-1])
         psi_tail = psi[-(counts[-1] + 2):]

@@ -486,13 +486,13 @@ class PotentialTable:
     Grid: log-uniform (``np.geomspace``): steps of t = ln z equal within
     1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
     of a natural cubic spline of ln|V| against t, fitted once.  The scalar
-    path (``derivatives_scalar``, the solver's hot loop) and the array paths
-    (``potential``, and ``taylor``, which ``derivatives`` reads) take
-    segment int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding
-    alone.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
-    raises ValueError; nothing is extrapolated.  V < 0 and strictly
-    increasing toward zero for every physical mirror; the all-zero table is
-    the free-space degenerate case used by tests.
+    path (``derivatives_scalar``, the solver's hot loop: (V, V') only) and
+    the array paths (``potential``, and ``taylor``, which ``derivatives``
+    reads) take segment int((t - t0)/dt) clipped to [0, n-2]; they differ
+    by rounding alone.  Range: z outside [z_min, z_max], with 1e-12 slack
+    in ln z, raises ValueError; nothing is extrapolated.  V < 0 and
+    strictly increasing toward zero for every physical mirror; the all-zero
+    table is the free-space degenerate case used by tests.
     """
 
     def __init__(self, z_au, v_au, label: str = ""):
@@ -549,13 +549,14 @@ class PotentialTable:
         c0, c1, c2, c3 = self._c.take(i, axis=1)
         return -np.exp(((c0 * s + c1) * s + c2) * s + c3)
 
-    def derivatives_scalar(self, z: float) -> tuple[float, float, float]:
-        """(V, V', V'') at a single z: ``derivatives`` in plain floats."""
+    def derivatives_scalar(self, z: float) -> tuple[float, float]:
+        """(V, V') at a single z: the first two of ``derivatives`` in plain
+        floats."""
         t = math.log(z)
         if not self._t_lo <= t <= self._t_hi:
             raise ValueError(f"z = {z:g} outside table range")
         if self.is_null:
-            return 0.0, 0.0, 0.0
+            return 0.0, 0.0
         i = int((t - self._t0) / self._dt)
         if i < 0:
             i = 0
@@ -565,11 +566,8 @@ class PotentialTable:
         c0, c1, c2 = self._c0[i], self._c1[i], self._c2[i]
         w = ((c0 * s + c1) * s + c2) * s + self._c3[i]
         wp = (3.0 * c0 * s + 2.0 * c1) * s + c2
-        wpp = 6.0 * c0 * s + 2.0 * c1
         v = -math.exp(w)
-        vp = v * wp / z
-        vpp = v * (wp * wp + wpp - wp) / (z * z)
-        return v, vp, vpp
+        return v, v * wp / z
 
     def derivatives(self, z_au):
         """(V, V', V'') on an array of z: a_0, a_1/z, 2 a_2/z^2 (``taylor``)."""

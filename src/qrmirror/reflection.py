@@ -250,7 +250,7 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
     deriv = table.derivatives_scalar
 
     def rhs(z: float, cp: complex, cm: complex, phi: float):
-        v, vp, _ = deriv(z)
+        v, vp = deriv(z)
         p = math.sqrt(two_m * (energy_au - v))
         g = -mass * vp / (2.0 * p * p)
         e = cmath.exp(-2j * phi)

@@ -112,12 +112,15 @@ def _scalar_march(table, energy, z_start, z_end):
 
 
 @pytest.mark.parametrize("name, height_m", [
-    ("pure_c4_table", 0.30), ("pure_c4_table", 1e-7), ("pure_c3_table", 0.30)])
+    ("pure_c4_table", 0.30), ("pure_c4_table", 1e-7), ("pure_c3_table", 0.30),
+    ("pc_table", 0.30), ("pc_table", 1e-7)])
 @pytest.mark.parametrize("to_table_end", [False, True])
 def test_banded_march_matches_the_scalar_loop(request, name, height_m,
                                               to_table_end):
-    # the same recurrence in the same order, on the same grid: only the
-    # rounding of the complex products may differ
+    # the same recurrence on the same grid: the banded march divides each
+    # row by its f2 before the solve and takes f straight from V, the loop
+    # divides after each step and squares k, so only rounding may differ;
+    # the PC table checks this on a fitted spline, not a pure power law
     table = request.getfixturevalue(name)
     energy = CONSTANTS.energy_au_from_height(height_m)
     res = solve_reflection(table, energy)

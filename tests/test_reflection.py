@@ -103,6 +103,15 @@ def test_pc_solve_and_oracle_at_30cm_are_pinned(pc_table):
     assert oracle.z_end == 48435.502603618006
 
 
+def test_pc_oracle_grid_at_1e7m_is_pinned(pc_table):
+    # the low-energy end of the 30-cm pin's grid check: the window reaches
+    # about 60 times further out and the step doubles 43 times, not 35, so
+    # a change to the march's node layout shows here too
+    res = solve_reflection(pc_table, E_1E7)
+    oracle = numerov_reflection(pc_table, E_1E7, res.z_start, res.z_end)
+    assert (oracle.n_points, oracle.z_end) == (211_701, 2849978.414913413)
+
+
 def test_silica_reflection_at_30cm(silica_table):
     res = solve_reflection(silica_table, E30)
     assert res.probability == pytest.approx(0.18, abs=0.03)
@@ -181,7 +190,7 @@ def test_launch_matches_the_exact_c3_absorbing_wave(pure_c3_table,
     b = 2.0 * _M * 0.25
     x = 2.0 * math.sqrt(b / z)
     y = 1.0 / z - x / (2.0 * z) * hankel1(0, x) / hankel1(1, x)
-    v, vp, _ = pure_c3_table.derivatives_scalar(z)
+    v, vp = pure_c3_table.derivatives_scalar(z)
     p = math.sqrt(2.0 * _M * (E_1E7 - v))
     exact = (1j * p + y) / (1j * p - y)
     (sigma,), (dropped,) = _wkb_launch(pure_c3_table, E_1E7, np.array([z]))
