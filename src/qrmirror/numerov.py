@@ -88,17 +88,19 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     # may run up to two steps past z_end but never past the table: the march
     # ends within one step of z_max when the window reaches it.  Up to
     # _BLOCK_CHUNKS chunks form a block, cut after the first end where the
-    # step doubles, and each block's march
+    # step doubles or after a chunk shorter than the rest, and each block's
+    # march
     #     f2 psi_n+1 - (12 - 10 f1) psi_n + f0 psi_n-1 = 0
     # is one banded forward substitution; f is real, so Re psi and Im psi
     # are two right-hand sides of the same system.
+    full = int(max(64, 4 * ppw))
     done = False
     while not done:
         bases, counts = [], []
         doubles = False
         z = z_last
         for _ in range(_BLOCK_CHUNKS):
-            n_max = int(min(max(64, 4 * ppw), math.ceil((z_end - z) / h) + 1,
+            n_max = int(min(full, math.ceil((z_end - z) / h) + 1,
                             (table.z_max - z) // h))
             if n_max < 1:
                 done = True
@@ -113,23 +115,19 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             if 2.0 * math.pi / (k * h) >= 2.0 * ppw:
                 doubles = True
                 break
+            if n_max < full:    # a short chunk ends its block
+                break
         if not counts:
             break
-        # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i
+        # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i;
+        # only a block's last chunk can be short, so the rows of one outer
+        # sum, cut after the last node, hold every chunk's nodes
         sizes = np.array(counts) + 2
         p = np.cumsum(sizes) - sizes
-        if len(set(counts)) == 1:   # equal chunks: one outer sum
-            z_nodes = (np.array(bases)[:, None]
-                       + h * np.arange(-1.0, counts[0] + 1)).ravel()
-        else:
-            z_nodes = np.repeat(bases, sizes) + h * (
-                np.arange(sizes.sum()) - np.repeat(p + 1, sizes))
-        # f = 1 + (h^2/12) 2m (E - V), in place on the fresh V array
-        f = table.potential(z_nodes)
-        np.subtract(energy_au, f, out=f)
-        f *= two_m
-        f *= h * h / 12.0
-        f += 1.0
+        z_nodes = (np.array(bases)[:, None]
+                   + h * np.arange(-1.0, counts[0] + 1)).ravel()[:sizes.sum()]
+        v = table.potential(z_nodes)
+        f = 1.0 + (h * h / 12.0) * (two_m * (energy_au - v))
         # LAPACK band storage, one column per node, each row divided by its
         # f2: a unit diagonal (row 0, which diag="U" never reads), then
         # -(12 - 10 f1)/f2 and f0/f2 of the rows that read it, so the serial
