@@ -54,7 +54,11 @@ def _phase_between(table: PotentialTable, energy_au: float,
 def numerov_reflection(table: PotentialTable, energy_au: float,
                        z_start: float, z_end: float) -> NumerovResult:
     """|r| from Numerov integration between the given WKB-exact endpoints."""
-    from scipy.linalg.lapack import dtbtrs   # the only user of scipy here
+    try:
+        from scipy.linalg.lapack import dtbtrs   # the only user of scipy
+    except ImportError as exc:
+        raise ImportError("numerov_reflection needs scipy, in the 'test' "
+                          "extra: pip install 'qrmirror[test]'") from exc
 
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")

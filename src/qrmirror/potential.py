@@ -363,31 +363,32 @@ def vdw_coefficient_integral(mirror: MirrorSpec) -> float:
 
     Independent anchor for the small-z limit of the quadrature (the factor
     (eps-1)/(eps+1) is 1 for a perfect conductor and the kappa -> inf limit
-    of r_TM otherwise).
+    of r_TM otherwise).  One ``_gauss_kronrod`` pass: [0, lo] in xi, decades
+    in ln xi from lo up to hi = 30 w_max, and the tail [hi, inf) as xi =
+    hi/u on u in [0, 1]; lo is 0.3 times the smallest response scale.
     """
-    from scipy.integrate import quad   # the only user of scipy here
-
     alpha = DEFAULT_POLARIZABILITY
     if mirror.kind == "perfect_conductor":
         return alpha.integral / (4.0 * math.pi)
 
-    def near_field_ratio(xi):
+    def f(xi, tail):
+        xi = np.where(tail, hi / xi, xi)   # and dxi = (xi^2/hi) du
+        a = alpha.alpha(xi) * np.where(tail, xi * xi / hi, 1.0)
         if mirror.kind == "sheet":
-            return 1.0  # r_TM -> 1 as kappa -> inf regardless of eta
+            return a  # r_TM -> 1 as kappa -> inf regardless of eta
         eps = mirror.effective_epsilon(xi)
-        return (eps - 1.0) / (eps + 1.0)
-
-    def f(xi):
-        return alpha.alpha(xi) * near_field_ratio(xi)
+        return a * (eps - 1.0) / (eps + 1.0)
 
     scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
     lo, hi = 0.3 * min(scales), 30.0 * max(scales)
-    val = (
-        quad(f, 0.0, lo, epsabs=0.0, epsrel=1e-10)[0]
-        + quad(f, lo, hi, epsabs=0.0, epsrel=1e-10)[0]
-        + quad(f, hi, np.inf, epsabs=0.0, epsrel=1e-10)[0]
-    )
-    return val / (4.0 * math.pi)
+    s = np.append(np.arange(math.log(lo), math.log(hi), _LN10), math.log(hi))
+    # panel 0 is [0, lo] in xi, the last one the tail in u, the rest decades
+    tail = np.arange(s.size + 1) == s.size
+    log = ~tail
+    log[0] = False
+    c3, _ = _gauss_kronrod(f, np.concatenate(([0.0], s[:-1], [0.0])),
+                           np.concatenate(([lo], s[1:], [1.0])), log, tail, 2)
+    return float(c3.sum()) / (4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +487,12 @@ class PotentialTable:
     Grid: log-uniform (``np.geomspace``): steps of t = ln z equal within
     1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
     of a natural cubic spline of ln|V| against t, fitted once.  The scalar
-    path (``derivatives_scalar``, the solver's hot loop: (V, V') only) and
-    the array paths (``potential``, and ``taylor``, which ``derivatives``
-    reads) take segment int((t - t0)/dt) clipped to [0, n-2]; they differ
-    by rounding alone.  Range: z outside [z_min, z_max], with 1e-12 slack
-    in ln z, raises ValueError; nothing is extrapolated.  V < 0 and
+    path (``derivatives_scalar``: (V, V') at one z, for a scalar
+    ``potential`` and Numerov's chunk ends) and the array paths
+    (``potential``, and ``taylor``, which ``derivatives`` and the amplitude
+    solver read) take segment int((t - t0)/dt) clipped to [0, n-2]; they
+    differ by rounding alone.  Range: z outside [z_min, z_max], with 1e-12
+    slack in ln z, raises ValueError; nothing is extrapolated.  V < 0 and
     strictly increasing toward zero for every physical mirror; the all-zero
     table is the free-space degenerate case used by tests.
     """
@@ -519,7 +521,7 @@ class PotentialTable:
             if np.any(np.diff(v) <= 0):
                 raise ValueError("potential must increase strictly toward zero")
             self._c = _natural_spline(t, np.log(-v))
-            # plain-float copies for the scalar hot loop
+            # plain-float copies for the scalar path
             self._knots = t.tolist()
             self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
         self.asymptotics = extract_asymptotics(self)

@@ -9,8 +9,11 @@ amplitudes obey coupled first-order equations
 
 whose exchange term is what quantum reflection is.  Annihilation on contact
 imposes full absorption at the surface, c+(z -> 0) = 0, and the reflection
-amplitude is r = c+/c- far from the mirror.  |c-|^2 - |c+|^2 is an exact
-invariant of the equations and is used as the primary step-control check.
+amplitude is r = c+/c- far from the mirror.  The equations are linear,
+(c+, c-)' = A (c+, c-), so a solve is a product of 2x2 transfer matrices,
+one sixth-order Magnus step per panel.  |c-|^2 - |c+|^2 is an exact
+invariant of the equations; each transfer matrix conserves it to rounding,
+and its drift is checked as a guard against rounding.
 
 The WKB waves are exact wherever the badlands function
 
@@ -19,7 +22,7 @@ The WKB waves are exact wherever the badlands function
 vanishes; the WKB-exact endpoints z_start and z_end_min are where |Q| is
 below _EDGE_TOL = 1e-8, which for CP potentials happens both near the
 surface and far away.  Between z_start and about 1 a0 no reflection
-happens, only WKB oscillations, so the integration does not step through
+happens, only WKB oscillations, so the solve does not lay panels over
 them: it starts at the launch point z_m, the last grid point before the
 badlands peak up to which the fourth-order WKB incoming wave is exact to
 _EDGE_TOL/4, with phi = 0 there.  r does not depend on phi's origin, and
@@ -43,17 +46,17 @@ from .constants import CONSTANTS
 from .potential import PotentialTable
 
 _M = CONSTANTS.mass_au
-_GL16_X, _GL16_W = leggauss(16)
+_GL6_X, _GL6_W = leggauss(6)
+_GAUSS3 = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])  # nodes on [0, 1]
 
-# tolerances and step limits of the amplitude solver
+# tolerances and panel widths of the amplitude solver
 _EDGE_TOL = 1e-8          # |Q| defining the WKB-exact endpoints
 _R_TOL = 1e-4             # r convergence over the last decade of z
-_RK_RTOL = 1e-7
-_RK_ATOL = 1e-10
 _FLUX_TOL = 1e-6          # allowed drift of |c-|^2 - |c+|^2
-_PHASE_STEP_FRAC = 0.5    # max step as fraction of pi hbar / p
-_Z_STEP_FRAC = 0.2        # max step as fraction of z
-_MAX_STEPS = 5_000_000
+_PHASE_STEP_FRAC = 0.125  # max panel as fraction of pi hbar / p
+_Z_STEP_FRAC = 0.05       # max panel as fraction of z
+_MAX_STEPS = 5_000_000    # panels laid out per solve
+_BLOCK = 256              # panels per vectorised pass
 _WKB_ORDER = 4            # order N of the launch wave's WKB series
 
 
@@ -104,11 +107,11 @@ class ReflectionResult:
     probability: float            # |r|^2
     loss: float                   # 1 - |r|^2
     energy_au: float
-    z_start: float
-    z_end: float
-    flux_drift: float
-    steps: int
-    rejected: int
+    z_start: float                # near WKB-exact endpoint
+    z_end: float                  # checkpoint where r converged
+    flux_drift: float             # max |(|c-|^2 - |c+|^2) - 1| at checkpoints
+    steps: int                    # Magnus panels from the launch to z_end
+    rejected: int                 # always 0: panels are never rejected
 
 
 def _wkb_bounds(table: PotentialTable,
@@ -195,43 +198,105 @@ def _wkb_launch(table: PotentialTable, energy_au: float,
     return sigma, np.abs(y[-1][0]) / (2.0 * zp[0])
 
 
-def _phase(table: PotentialTable, energy_au: float,
-           z1: float, z2: float) -> float:
-    """Integral of p(z) over [z1, z2] by 16-point Gauss-Legendre on panels
-    of ln z at most 0.5 wide."""
-    t1, t2 = math.log(z1), math.log(z2)
-    edges = np.linspace(t1, t2, max(1, math.ceil(abs(t2 - t1) / 0.5)) + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    z = np.exp(edges[:-1, None] + half * (1.0 + _GL16_X))
-    p = np.sqrt(2.0 * _M * (energy_au - table.potential(z)))
-    return float(np.sum(half * _GL16_W * p * z))
+def _comm(a, b):
+    """[a, b] of traceless 2x2 matrices, rows (u, x, y) of [[u, x], [y, -u]]."""
+    (u1, x1, y1), (u2, x2, y2) = a, b
+    return np.stack((x1 * y2 - x2 * y1, 2.0 * (u1 * x2 - u2 * x1),
+                     2.0 * (u2 * y1 - u1 * y2)))
 
 
-# Cash-Karp embedded 5(4) pair.
-_CK_C2, _CK_C3, _CK_C4, _CK_C5, _CK_C6 = 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8
-_CK_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-_CK_ERR = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
+def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
+              phi0: float) -> tuple[list, ...]:
+    """Transfer matrices exp(Omega) of the panels between ``edges``, as four
+    lists of entries, and phi at each panel's right edge; phi0 is phi at
+    the first edge.
+
+    Omega is the sixth-order Magnus exponent from A at the three Gauss
+    nodes of each panel (Blanes, Casas & Ros, BIT 40, 434, 2000).  A is
+    anti-diagonal, A = (0, g e^{-2i phi}, g e^{2i phi}) with g = p'/2p =
+    -V'/(4 (E - V)), so the commutators are closed-form (``_comm``).  Omega
+    is traceless, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega with s^2 =
+    -det Omega; it conserves |c-|^2 - |c+|^2 to rounding.  phi at each
+    node and edge is phi0 plus the panels before it plus one 6-point
+    Gauss-Legendre rule from the panel's left edge (within 4e-13 of a
+    16-point rule in r on the registry).
+    """
+    left, h = edges[:-1, None], np.diff(edges)[:, None]
+    nodes = left + h * _GAUSS3
+    span = h * np.append(_GAUSS3, 1.0)
+    zq = left[..., None] + 0.5 * span[..., None] * (1.0 + _GL6_X)
+    p = np.sqrt(2.0 * _M * (energy_au - table.potential(zq)))
+    part = 0.5 * span * (p @ _GL6_W)
+    phi = phi0 + np.cumsum(part[:, 3])
+    phase = np.exp(-2j * (np.append(phi0, phi[:-1])[:, None] + part[:, :3]))
+    v, zv = table.taylor(nodes, 1)
+    hg = h * zv / (-4.0 * nodes * (energy_au - v))
+    # h A at the nodes, as (u, x, y); alpha_1 = h A_2, alpha_2 and alpha_3
+    # and the Magnus exponent from them (ibid.)
+    ha = hg * np.stack((np.zeros_like(phase), phase, phase.conjugate()))
+    a1 = ha[..., 1]
+    a2 = math.sqrt(5.0 / 3.0) * (ha[..., 2] - ha[..., 0])
+    a3 = 10.0 / 3.0 * (ha[..., 2] - 2.0 * ha[..., 1] + ha[..., 0])
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
+    u, ox, oy = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    s = np.sqrt(u * u + ox * oy)
+    ch, sh = np.cosh(s), np.sinc(1j * s / math.pi)   # sinh(s)/s, 1 at s = 0
+    return ((ch + sh * u).tolist(), (sh * ox).tolist(), (sh * oy).tolist(),
+            (ch - sh * u).tolist(), phi.tolist())
+
+
+def _panels(table: PotentialTable, energy_au: float, z: float,
+            z_end_min: float):
+    """(right edge, transfer matrix entries, phi there) of each panel from z
+    outward: up to z_end_min, then a decade of z at a time up to the table
+    end.
+
+    A panel is at most _PHASE_STEP_FRAC pi hbar/p and _Z_STEP_FRAC z wide:
+    the panel density on t = ln z, max(p z/(_PHASE_STEP_FRAC pi),
+    1/_Z_STEP_FRAC), is summed by the trapezoid rule over the ends of a
+    stretch and the table's grid points between them, and the edges sit at
+    equal steps of that sum.  That depends on t - ln z and p z alone, so
+    the layout is scale-free.  More than _MAX_STEPS panels in all is a
+    SolveError, raised before they are allocated; ``_transfer`` sees at
+    most _BLOCK panels at a time, which bounds its memory.
+    """
+    z_next, laid, phi = z_end_min, 0, 0.0
+    while z < table.z_max:
+        zt = np.concatenate(([z], table.z[(table.z > z) & (table.z < z_next)],
+                             [z_next]))
+        t = np.log(zt)
+        pz = np.sqrt(2.0 * _M * (energy_au - table.potential(zt))) * zt
+        density = np.maximum(pz / (_PHASE_STEP_FRAC * math.pi),
+                             1.0 / _Z_STEP_FRAC)
+        total = np.append(0.0, np.cumsum(
+            0.5 * (density[1:] + density[:-1]) * np.diff(t)))
+        n = max(1, math.ceil(total[-1]))
+        laid += n
+        if laid > _MAX_STEPS:
+            raise SolveError(f"step budget exceeded at z = {z:g}")
+        edges = np.exp(np.interp(np.linspace(0.0, total[-1], n + 1), total, t))
+        edges[0], edges[-1] = z, z_next
+        for i in range(0, n, _BLOCK):
+            block = edges[i:i + _BLOCK + 1]
+            *matrix, phis = _transfer(table, energy_au, block, phi)
+            phi = phis[-1]
+            yield from zip(block[1:].tolist(), *matrix, phis)
+        z, z_next = z_next, min(10.0 * z_next, table.z_max)
+
 
 _CHECKPOINT_RATIO = 10.0 ** 0.125
 
 
 def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResult:
-    """Integrate the coupled amplitude equations outward and return r.
+    """Propagate the coupled amplitude equations outward and return r.
 
     Starts from the launch point z_m (or z_start, if that lies further out)
     in the absorbing state (purely incoming flux, the finite-z form of
-    c+(0) = 0; see the launch comment below), advances phi by the same
-    embedded quadrature as the amplitudes, and stops once |Q| < _EDGE_TOL
-    and r has stopped changing (relative change below _R_TOL across the
-    trailing decade of z).
+    c+(0) = 0; see the launch comment below), multiplies it by the panels'
+    transfer matrices (``_panels``) and stops at the first checkpoint past
+    z_end_min where r has stopped changing (relative change below _R_TOL
+    across the trailing decade of z).
     """
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
@@ -244,115 +309,41 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
     z_start, z, sigma, z_end_min = _wkb_bounds(table, energy_au)
     z_hard_end = table.z_max
 
-    # constants bound to locals: rhs and max_step are the hot loop
-    mass = _M
-    two_m = 2.0 * mass
-    deriv = table.derivatives_scalar
-
-    def rhs(z: float, cp: complex, cm: complex, phi: float):
-        v, vp = deriv(z)
-        p = math.sqrt(two_m * (energy_au - v))
-        g = -mass * vp / (2.0 * p * p)
-        e = cmath.exp(-2j * phi)
-        return g * e * cm, g * e.conjugate() * cp, p
-
     # Launch state: the order-_WKB_ORDER WKB incoming wave (see _wkb_launch),
     # normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0: c+ -> 0 only as
     # z -> 0, the full absorption at the surface.  Its error |y_{N+1}|/2p
-    # stays within _EDGE_TOL/4 up to z_m, so the solve does not step through
-    # [z_start, z_m].  phi starts at 0 there: the launch would carry
-    # e^{-2i phi} of any other origin, and r e^{2i phi} below cancels it.
-    phi = 0.0
+    # stays within _EDGE_TOL/4 up to z_m, so the solve does not start at
+    # z_start.  phi starts at 0 there: the launch would carry e^{-2i phi}
+    # of any other origin, and r e^{2i phi(z_end_min)} below cancels it.
     cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
     cp = sigma * cm
 
-    phase_step_frac, z_step_frac = _PHASE_STEP_FRAC, _Z_STEP_FRAC
-
-    def max_step(zc: float, pc: float) -> float:
-        return min(phase_step_frac * math.pi / pc,
-                   z_step_frac * zc,
-                   z_hard_end - zc)
-
-    h = 0.01 * max_step(z, rhs(z, cp, cm, phi)[2])
-    atol, rtol = _RK_ATOL, _RK_RTOL
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _CK_A
-    (b1, _, b3, b4, _, b6), (e1, _, e3, e4, e5, e6) = _CK_B5, _CK_ERR
     flux_drift = 0.0
-    steps = rejected = 0
+    steps = 0
     next_checkpoint = z * _CHECKPOINT_RATIO
     history: list[tuple[float, complex]] = []
-    converged = False
 
-    while True:
-        if steps + rejected > _MAX_STEPS:
-            raise SolveError(f"step budget exceeded at z = {z:g}")
-        # Cash-Karp stages
-        k1 = rhs(z, cp, cm, phi)
-        k2 = rhs(z + _CK_C2 * h,
-                 cp + h * (a21 * k1[0]),
-                 cm + h * (a21 * k1[1]),
-                 phi + h * (a21 * k1[2]))
-        k3 = rhs(z + _CK_C3 * h,
-                 cp + h * (a31 * k1[0] + a32 * k2[0]),
-                 cm + h * (a31 * k1[1] + a32 * k2[1]),
-                 phi + h * (a31 * k1[2] + a32 * k2[2]))
-        k4 = rhs(z + _CK_C4 * h,
-                 cp + h * (a41 * k1[0] + a42 * k2[0] + a43 * k3[0]),
-                 cm + h * (a41 * k1[1] + a42 * k2[1] + a43 * k3[1]),
-                 phi + h * (a41 * k1[2] + a42 * k2[2] + a43 * k3[2]))
-        k5 = rhs(z + _CK_C5 * h,
-                 cp + h * (a51 * k1[0] + a52 * k2[0] + a53 * k3[0] + a54 * k4[0]),
-                 cm + h * (a51 * k1[1] + a52 * k2[1] + a53 * k3[1] + a54 * k4[1]),
-                 phi + h * (a51 * k1[2] + a52 * k2[2] + a53 * k3[2] + a54 * k4[2]))
-        k6 = rhs(z + _CK_C6 * h,
-                 cp + h * (a61 * k1[0] + a62 * k2[0] + a63 * k3[0] + a64 * k4[0] + a65 * k5[0]),
-                 cm + h * (a61 * k1[1] + a62 * k2[1] + a63 * k3[1] + a64 * k4[1] + a65 * k5[1]),
-                 phi + h * (a61 * k1[2] + a62 * k2[2] + a63 * k3[2] + a64 * k4[2] + a65 * k5[2]))
-
-        # 5th-order step and error, term by term; b2 = b5 = e2 = 0
-        new_cp = cp + h * (b1 * k1[0] + b3 * k3[0] + b4 * k4[0] + b6 * k6[0])
-        new_cm = cm + h * (b1 * k1[1] + b3 * k3[1] + b4 * k4[1] + b6 * k6[1])
-        new_phi = phi + h * (b1 * k1[2] + b3 * k3[2] + b4 * k4[2] + b6 * k6[2])
-        err_cp = h * (e1 * k1[0] + e3 * k3[0] + e4 * k4[0] + e5 * k5[0] + e6 * k6[0])
-        err_cm = h * (e1 * k1[1] + e3 * k3[1] + e4 * k4[1] + e5 * k5[1] + e6 * k6[1])
-        err_phi = h * (e1 * k1[2] + e3 * k3[2] + e4 * k4[2] + e5 * k5[2] + e6 * k6[2])
-
-        err = max(
-            abs(err_cp) / (atol + rtol * max(abs(cp), abs(new_cp))),
-            abs(err_cm) / (atol + rtol * max(abs(cm), abs(new_cm))),
-            abs(err_phi) / (atol + rtol * max(abs(phi), abs(new_phi))),
-        )
-        if err <= 1.0:
-            z += h
-            cp, cm, phi = new_cp, new_cm, new_phi
-            steps += 1
+    for z, a, b, c, d, phi in _panels(table, energy_au, z, z_end_min):
+        cp, cm = a * cp + b * cm, c * cp + d * cm
+        steps += 1
+        if z == z_end_min:
+            phi_end_min = phi
+        # r-convergence bookkeeping on geometric checkpoints
+        if z >= next_checkpoint or z >= z_hard_end:
+            r_now = cp / cm
+            history.append((z, r_now))
+            next_checkpoint = z * _CHECKPOINT_RATIO
             flux_drift = max(flux_drift,
                              abs((abs(cm) ** 2 - abs(cp) ** 2) - 1.0))
-            # r-convergence bookkeeping on geometric checkpoints
-            if z >= next_checkpoint or z >= z_hard_end:
-                r_now = cp / cm
-                history.append((z, r_now))
-                next_checkpoint = z * _CHECKPOINT_RATIO
-                if z >= z_end_min:
-                    decade = [rv for zv, rv in history if zv <= z / 10.0]
-                    recent = [rv for zv, rv in history if zv > z / 10.0]
-                    if decade:
-                        ref = max(abs(r_now), 1e-12)
-                        dev = max(abs(rv - r_now) for rv in (recent + decade[-1:]))
-                        if dev <= _R_TOL * ref:
-                            converged = True
-                            break
-            if z >= z_hard_end:
-                break
-        else:
-            rejected += 1
-        factor = 0.9 * err ** -0.2 if err > 0 else 5.0
-        h = min(h * min(max(factor, 0.2), 5.0), max_step(z, k1[2]))
-        if h <= 0 or z + h == z:
-            raise SolveError(f"step size underflow at z = {z:g}")
-
-    if not converged:
+            if z >= z_end_min:
+                decade = [rv for zv, rv in history if zv <= z / 10.0]
+                recent = [rv for zv, rv in history if zv > z / 10.0]
+                if decade:
+                    ref = max(abs(r_now), 1e-12)
+                    dev = max(abs(rv - r_now) for rv in (recent + decade[-1:]))
+                    if dev <= _R_TOL * ref:
+                        break
+    else:
         raise SolveError(
             f"r did not converge to {_R_TOL:g} before the table end "
             f"(z = {z:g}); extend the grid"
@@ -363,14 +354,14 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
             f"step control failure"
         )
     # phase reference z0 = the Q-selected z_end_min, not z_end: far out each
-    # step advances 2 phi by pi, so r referenced to z_end would flip sign
-    # with the parity of the step count
-    r = (cp / cm) * cmath.exp(2j * (phi - _phase(table, energy_au, z_end_min, z)))
+    # panel advances 2 phi by about pi/4, so r referenced to z_end would
+    # turn with the panel count
+    r = (cp / cm) * cmath.exp(2j * phi_end_min)
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,
                             energy_au=energy_au, z_start=z_start,
                             z_end=z, flux_drift=flux_drift,
-                            steps=steps, rejected=rejected)
+                            steps=steps, rejected=0)
 
 
 # ---------------------------------------------------------------------------

@@ -163,10 +163,12 @@ def test_reproduce_accepts_output_config(monkeypatch, tmp_path):
 
 
 def test_library_and_cli_load_no_scipy(run_python, tmp_path):
-    # scipy serves only vdw_coefficient_integral and numerov_reflection,
-    # which import it themselves: the library, the CLI and a reproduce run
-    # load numpy alone
+    # scipy serves only numerov_reflection, which imports it itself: the
+    # library, the C3 anchor integral, the CLI and a reproduce run load
+    # numpy alone
     code = ("import sys, qrmirror, qrmirror.cli\n"
+            "silica = qrmirror.cli._mirror_registry()['silica']\n"
+            "assert qrmirror.vdw_coefficient_integral(silica) > 0\n"
             "code = qrmirror.cli.main(['reproduce', 'table1', '--format', "
             "'csv', '--no-timestamp', '--out', 'table1.csv'])\n"
             "print(code, sorted(m for m in sys.modules "

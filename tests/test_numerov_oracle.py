@@ -5,6 +5,7 @@ inverse-fourth-power potential.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,3 +183,11 @@ def test_scattering_length_against_numerov_extraction(pure_c4_table):
     im_a_oracle = (ks[1] * estimates[0] - ks[0] * estimates[1]) / (ks[1] - ks[0])
     sl = scattering_length(pure_c4_table)
     assert -sl.a.imag == pytest.approx(im_a_oracle, rel=0.01)
+
+
+def test_oracle_without_scipy_names_the_extra(pure_c4_table, monkeypatch):
+    # scipy is a test dependency, not a runtime one: without it the oracle
+    # says which extra to install
+    monkeypatch.setitem(sys.modules, "scipy.linalg.lapack", None)
+    with pytest.raises(ImportError, match=r"qrmirror\[test\]"):
+        numerov_reflection(pure_c4_table, E30, 1.0, 10.0)

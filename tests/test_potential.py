@@ -380,6 +380,29 @@ def test_vdw_integral_perfect_conductor():
     assert vdw_coefficient_integral(PC) == pytest.approx(0.25, rel=1e-9)
 
 
+@pytest.mark.parametrize("name", [
+    name for name, mirror in _mirror_registry().items()
+    if mirror.kind != "perfect_conductor"])
+def test_vdw_integral_matches_scipy_quad(name):
+    # the Gauss-Kronrod panels against scipy's adaptive quad on the same
+    # three ranges, [0, lo], [lo, hi] and [hi, inf)
+    mirror = _mirror_registry()[name]
+    alpha = DEFAULT_POLARIZABILITY
+
+    def f(xi):
+        if mirror.kind == "sheet":
+            return alpha.alpha(xi)
+        eps = mirror.effective_epsilon(xi)
+        return alpha.alpha(xi) * (eps - 1.0) / (eps + 1.0)
+
+    scales = [w for _, w in alpha.oscillators] + mirror.response_scales_au()
+    lo, hi = 0.3 * min(scales), 30.0 * max(scales)
+    expected = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-10)[0]
+                   for a, b in ((0.0, lo), (lo, hi), (hi, np.inf)))
+    assert vdw_coefficient_integral(mirror) == pytest.approx(
+        expected / (4.0 * math.pi), rel=1e-12)
+
+
 def test_vdw_integral_against_quadrature_small_z():
     # independent check of the full quadrature's sign and prefactor
     for mirror in (PC, MirrorSpec.bulk(load_builtin("silicon")),
