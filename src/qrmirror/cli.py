@@ -248,7 +248,7 @@ def _cmd_lifetime(args) -> int:
     table = _table(args, mirror)
     lt = lifetime_for_table(table)
     rows = [(mirror.label, mirror.porosity, abs(lt.scattering.im_a_nm),
-             lt.tau_s)]
+             lt.tau_s, lt.scattering.re_a_nm)]
     _emit(args, f"lifetime_{_mirror_slug(mirror)}", reporting.lifetime_csv,
           reporting.lifetime_json, rows)
     return 0

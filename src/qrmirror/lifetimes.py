@@ -1,10 +1,13 @@
 """Complex scattering length and gravitational-quantum-state lifetimes.
 
-Near threshold the reflection loss obeys 1 - |r|^2 = 4 k |Im a| + O(k^2),
-with k = sqrt(2mE)/hbar, which fixes the magnitude of the imaginary part of
-the scattering length; the sign convention Im a < 0 encodes net absorption
-by the annihilating surface.  Atoms settled in the lowest gravitationally
-bound states above the mirror share a single lifetime
+The scattering length comes from one zero-energy solve.  At E = 0 the
+wavefunction far from the mirror is linear, psi ~ z - a, so a = z -
+psi/psi' read there; the sign convention Im a < 0 encodes net absorption
+by the annihilating surface.  Near threshold the reflection loss then
+obeys 1 - |r|^2 = 4 k |Im a| + O(k^2), k = sqrt(2mE)/hbar, and Re a sets
+the level shifts of the gravitational states (Voronin, Froelich &
+Nesvizhevsky, PRA 83, 032903, 2011).  Atoms settled in the lowest
+gravitationally bound states above the mirror share a single lifetime
 
     tau = hbar / (2 m g |Im a|)
 
@@ -14,34 +17,45 @@ the acceptance suite rather than taken on trust.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import CONSTANTS
 from .potential import PotentialTable
-from .reflection import solve_reflection
+from .reflection import _EDGE_TOL, _R_TOL, _panels, _wkb_launch
 
 _M = CONSTANTS.mass_au
-_LINEARITY_TOL = 0.05   # allowed relative spread of the two threshold estimates
-_HEIGHTS_M = (1e-7, 4e-7)   # free-fall heights of the two threshold solves
+# a is read at these two panel edges (a0).  Far out at E = 0 the WKB
+# amplitudes grow about as z while psi' cancels between them: 4x the panels
+# moves a by at most 2.1e-6 of |a| read at 1e6 a0, by up to about 4e-4 at
+# 1e7 a0.
+_READ_OUTS_A0 = (1e5, 1e6)
 
 
 class ExtractionError(RuntimeError):
-    """Raised when the threshold-law extraction leaves the linear regime."""
+    """Raised when the scattering length does not settle on the table."""
 
 
 @dataclass
 class ScatteringLength:
-    """Complex scattering length a (a0); imaginary part from the threshold law.
+    """Complex scattering length a (a0) from the zero-energy solve.
 
-    The modulus-based extraction determines only Im a; the real part is not
-    resolved and is stored as zero.
+    ``estimates`` holds |Im a| at the two read-outs and
+    ``linear_deviation`` their relative spread; ``source_energies_au`` is
+    (0.0,), the energy of the one solve.
     """
 
     a: complex
-    source_energies_au: tuple[float, float]
-    estimates: tuple[float, float]       # |Im a| at the two energies
+    source_energies_au: tuple[float, ...]
+    estimates: tuple[float, float]       # |Im a| at the two read-outs
     linear_deviation: float              # relative spread of the estimates
+
+    @property
+    def re_a_nm(self) -> float:
+        return self.a.real * CONSTANTS.bohr_nm
 
     @property
     def im_a_nm(self) -> float:
@@ -56,39 +70,55 @@ class LifetimeResult:
 
 
 def scattering_length(table: PotentialTable) -> ScatteringLength:
-    """Extract a = -i |Im a| from reflection losses at two small energies.
+    """a from one E = 0 solve, read at _READ_OUTS_A0.
 
-    The energies are those of free falls from _HEIGHTS_M.  With h2 = 4 h1
-    the wavevectors satisfy k2 = 2 k1 and the Richardson extrapolation
-    2*est(k1) - est(k2) removes the O(k) correction.  If the two
-    single-energy estimates differ by more than _LINEARITY_TOL (5%) the
-    extraction fails.  The perfect conductor, the strongest potential,
-    reaches 0.13%.
+    The solve launches at the last grid point up to which the fourth-order
+    WKB incoming wave is exact to _EDGE_TOL/4, as ``solve_reflection``
+    does, and multiplies the launch state by the transfer matrices of
+    ``reflection._panels``: one stretch up to the first read-out, then a
+    decade.  At each read-out a = z - psi/psi', with psi' = i p (c+ e^{i phi}
+    - c- e^{-i phi})/sqrt(p).  On a -C4/z^4 tail a - a_inf = 2 m C4/z + ...,
+    real, so one 1/z step between the read-outs gives Re a; Im a is that of
+    the last read-out.  A table that ends before the read-outs, or on which
+    |Im a| changes by more than _R_TOL between them, raises ExtractionError.
     """
     if table.is_null:
-        return ScatteringLength(a=0.0j, source_energies_au=(0.0, 0.0),
+        return ScatteringLength(a=0.0j, source_energies_au=(0.0,),
                                 estimates=(0.0, 0.0), linear_deviation=0.0)
-    h1, h2 = _HEIGHTS_M
-    energies = (CONSTANTS.energy_au_from_height(h1),
-                CONSTANTS.energy_au_from_height(h2))
-    k1, k2 = (math.sqrt(2.0 * _M * energy) for energy in energies)
-    e1, e2 = (solve_reflection(table, energy).loss / (4.0 * k)
-              for energy, k in zip(energies, (k1, k2)))
-    scale = max(abs(e1), abs(e2))
-    if scale == 0.0:
-        return ScatteringLength(a=0.0j, source_energies_au=energies,
-                                estimates=(e1, e2), linear_deviation=0.0)
-    deviation = abs(e1 - e2) / scale
-    if deviation > _LINEARITY_TOL:
+    z1, z2 = _READ_OUTS_A0
+    grid = table.z[table.z < z1]
+    if table.z_max < z2 or grid.size == 0:
         raise ExtractionError(
-            f"{table.label}: threshold estimates differ by {deviation:.1%} "
-            f"(> {_LINEARITY_TOL:.0%}) at h = {h1:g}, {h2:g} m: "
-            f"not in the linear regime"
-        )
-    im_a = (k2 * e1 - k1 * e2) / (k2 - k1)   # extrapolated to k -> 0
-    return ScatteringLength(a=complex(0.0, -im_a),
-                            source_energies_au=energies,
-                            estimates=(e1, e2),
+            f"{table.label}: the table [{table.z_min:g}, {table.z_max:g}] a0 "
+            f"does not hold the read-outs of a at {z1:g} and {z2:g} a0")
+    sigma, dropped = _wkb_launch(table, 0.0, grid)
+    i = np.count_nonzero(np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL) - 1
+    if i < 0:
+        raise ExtractionError(
+            f"{table.label}: the zero-energy WKB wave is not exact to "
+            f"{0.25 * _EDGE_TOL:g} at the near edge z = {table.z_min:g} a0")
+    # launch state and phi = 0 there as in solve_reflection
+    cm = 1.0 / math.sqrt(1.0 - abs(sigma[i]) ** 2)
+    cp = sigma[i] * cm
+    reads = []
+    for z, a, b, c, d, phi in _panels(table, 0.0, float(grid[i]), z1):
+        cp, cm = a * cp + b * cm, c * cp + d * cm
+        if z == z1 or z == z2:
+            w = cp * cmath.exp(2j * phi)
+            p = math.sqrt(-2.0 * _M * table.potential(z))
+            reads.append(z - (w + cm) / (1j * p * (w - cm)))
+            if z == z2:
+                break
+    a1, a2 = reads
+    e1, e2 = -a1.imag, -a2.imag
+    deviation = abs(e1 - e2) / max(abs(e1), abs(e2))
+    if deviation > _R_TOL:
+        raise ExtractionError(
+            f"{table.label}: |Im a| changes by {deviation:.2e} (> {_R_TOL:g}) "
+            f"between z = {z1:g} and {z2:g} a0: a did not settle")
+    re_a = (z2 * a2.real - z1 * a1.real) / (z2 - z1)
+    return ScatteringLength(a=complex(re_a, a2.imag),
+                            source_energies_au=(0.0,), estimates=(e1, e2),
                             linear_deviation=deviation)
 
 
@@ -112,5 +142,5 @@ def gqs_lifetime(scattering: ScatteringLength,
 
 
 def lifetime_for_table(table: PotentialTable) -> LifetimeResult:
-    """Convenience chain: threshold extraction then lifetime."""
+    """Convenience chain: zero-energy scattering length then lifetime."""
     return gqs_lifetime(scattering_length(table), mirror_label=table.label)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .constants import CONSTANTS
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CELL_COLUMNS = ("target", "row", "quantity", "computed", "reference",
                  "tolerance", "status", "note")
@@ -112,11 +112,13 @@ def sweep_csv(points, path, timestamp: bool = True) -> None:
 
 
 def lifetime_json(rows) -> dict:
-    """rows: iterable of (material, porosity or None, im_a_nm, lifetime_s)."""
+    """rows: iterable of (material, porosity or None, im_a_nm, lifetime_s,
+    re_a_nm)."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "columns": ["material", "porosity", "im_a_nm", "lifetime_s"],
-        "rows": [[m, p, a, t] for m, p, a, t in rows],
+        "columns": ["material", "porosity", "im_a_nm", "lifetime_s",
+                    "re_a_nm"],
+        "rows": [[m, p, a, t, r] for m, p, a, t, r in rows],
     }
 
 
@@ -124,8 +126,8 @@ def lifetime_csv(rows, path, timestamp: bool = True) -> None:
     """A bulk mirror's porosity is written empty, a porous one's as ``%g``."""
     out = lifetime_json(rows)
     _write_csv(path, timestamp, out["columns"],
-               ([m, "" if p is None else f"{p:g}", a, t]
-                for m, p, a, t in out["rows"]))
+               ([m, "" if p is None else f"{p:g}", a, t, r]
+                for m, p, a, t, r in out["rows"]))
 
 
 def badlands_json(z, profiles, peaks) -> dict:

@@ -1,9 +1,11 @@
 """Shared fixtures: solver-grade potential tables are expensive (seconds
 each), so they are built once per session and shared across modules.
 
-``run_python`` runs ``python`` (``run_cli``: ``python -m qrmirror``) in a
-child process that imports the same ``qrmirror`` this test process
-imported.
+``run_main`` runs the CLI's ``main`` in this process, from a temporary
+working directory.  ``run_python`` runs ``python`` (``run_cli``: ``python
+-m qrmirror``) in a child process that imports the same ``qrmirror`` this
+test process imported; the suite keeps it for what only a process shows:
+the entry point, the modules a fresh interpreter loads and a hang.
 
 Hypothesis runs derandomized and without its example database: every run
 of a property test draws the same examples, so two runs of the suite (on
@@ -12,7 +14,9 @@ two versions of the code, say) test the same inputs.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import os
 import subprocess
 import sys
@@ -22,6 +26,7 @@ import pytest
 from hypothesis import settings
 
 import qrmirror
+from qrmirror import cli
 from qrmirror.cli import _mirror_registry
 from qrmirror.potential import PotentialTable, build_solver_table
 
@@ -57,6 +62,29 @@ def run_cli(run_python):
     as ``python -m qrmirror *args`` in a ``run_python`` child."""
     def run(*args: str, cwd=None, timeout=900) -> subprocess.CompletedProcess:
         return run_python("-m", "qrmirror", *args, cwd=cwd, timeout=timeout)
+
+    return run
+
+
+@pytest.fixture
+def run_main(tmp_path, monkeypatch):
+    """Callable ``run_main(*args)`` that runs ``cli.main(args)`` in this
+    process with ``tmp_path`` as the working directory and returns a
+    CompletedProcess of the exit code and the captured stdout and stderr.
+
+    An argparse exit (``--help``, a usage error) is its code.  Unlike a
+    child's, a RuntimeWarning of the run fails the test."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+        return subprocess.CompletedProcess(["qrmirror", *args], code,
+                                           out.getvalue(), err.getvalue())
 
     return run
 

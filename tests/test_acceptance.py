@@ -287,12 +287,12 @@ def test_weaker_mirrors_reflect_more_and_keep_atoms_longer(silica_table):
 # -- desk-scale performance gate ----------------------------------------------
 
 
-def test_reproduce_tables_run_under_ten_minutes(run_cli, tmp_path):
+def test_reproduce_tables_run_under_ten_minutes(run_main, tmp_path):
     start = time.perf_counter()
     for target in ("table1", "table2"):
-        cp = run_cli("reproduce", target,
-                     "--out", str(tmp_path / f"{target}.csv"), "--no-timestamp",
-                     cwd=tmp_path)
+        cp = run_main("reproduce", target,
+                      "--out", str(tmp_path / f"{target}.csv"),
+                      "--no-timestamp")
         assert cp.returncode == 0, cp.stderr + cp.stdout
     elapsed = time.perf_counter() - start
     text1 = (tmp_path / "table1.csv").read_text()

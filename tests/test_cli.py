@@ -1,6 +1,8 @@
-"""End-to-end CLI tests. Each runs ``python -m qrmirror`` through the
-``run_cli`` fixture (``conftest.py``); most start it from ``tmp_path`` to
-check that the CLI does not depend on the working directory.
+"""End-to-end CLI tests.  Most run ``cli.main`` in-process through the
+``run_main`` fixture (``conftest.py``), from ``tmp_path`` to check that the
+CLI does not depend on the working directory.  ``python -m qrmirror`` runs
+as a child process (``run_cli``) only where a process is what is tested:
+the entry point and the hang guard's timeout.
 """
 
 import contextlib
@@ -23,8 +25,8 @@ def test_help(run_cli):
     assert "quantum reflection" in cp.stdout
 
 
-def test_material_list(run_cli):
-    cp = run_cli("material", "list")
+def test_material_list(run_main):
+    cp = run_main("material", "list")
     assert cp.returncode == 0
     names = cp.stdout.split()
     for expected in ("perfect_conductor", "silicon", "silica", "diamond",
@@ -32,8 +34,8 @@ def test_material_list(run_cli):
         assert expected in names
 
 
-def test_material_show(run_cli):
-    cp = run_cli("material", "show", "silicon")
+def test_material_show(run_main):
+    cp = run_main("material", "show", "silicon")
     assert cp.returncode == 0
     assert "11.87" in cp.stdout
 
@@ -52,20 +54,19 @@ def test_material_show_reads_a_relative_path_as_mirror_does(monkeypatch,
                      "--z-min-a0", "1", "--z-max-a0", "1e3"]) == 0
 
 
-def test_unknown_material_exits_2(run_cli):
-    cp = run_cli("material", "show", "unobtainium")
+def test_unknown_material_exits_2(run_main):
+    cp = run_main("material", "show", "unobtainium")
     assert cp.returncode == 2
 
 
-def test_vacuum_mirror_rejected(run_cli, tmp_path):
-    cp = run_cli("potential", "--mirror", "vacuum", cwd=tmp_path)
+def test_vacuum_mirror_rejected(run_main):
+    cp = run_main("potential", "--mirror", "vacuum")
     assert cp.returncode == 2
     assert "not a mirror" in cp.stderr
 
 
-def test_zero_height_rejected(run_cli, tmp_path):
-    cp = run_cli("reflect", "--mirror", "silica", "--height-cm", "0",
-                 cwd=tmp_path)
+def test_zero_height_rejected(run_main):
+    cp = run_main("reflect", "--mirror", "silica", "--height-cm", "0")
     assert cp.returncode == 2
 
 
@@ -179,16 +180,16 @@ def test_library_and_cli_load_no_scipy(run_python, tmp_path):
     assert (tmp_path / "table1.csv").exists()
 
 
-def test_slab_and_porosity_conflict(run_cli, tmp_path):
-    cp = run_cli("potential", "--mirror", "silica", "--slab-nm", "5",
-                 "--porosity", "0.5", cwd=tmp_path)
+def test_slab_and_porosity_conflict(run_main):
+    cp = run_main("potential", "--mirror", "silica", "--slab-nm", "5",
+                  "--porosity", "0.5")
     assert cp.returncode == 2
 
 
-def test_potential_perfect_conductor_csv(run_cli, tmp_path):
+def test_potential_perfect_conductor_csv(run_main, tmp_path):
     out = tmp_path / "pot.csv"
-    cp = run_cli("potential", "--mirror", "perfect_conductor",
-                 "--out", str(out), "--no-timestamp", cwd=tmp_path)
+    cp = run_main("potential", "--mirror", "perfect_conductor",
+                  "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     lines = out.read_text().splitlines()
     c4_line = next(ln for ln in lines if ln.startswith("# C4_Eh_a04"))
@@ -198,44 +199,42 @@ def test_potential_perfect_conductor_csv(run_cli, tmp_path):
     assert header == "z_a0,z_nm,V_Eh,V_neV,V_over_Vstar"
 
 
-def test_potential_json_schema(run_cli, tmp_path):
+def test_potential_json_schema(run_main, tmp_path):
     out = tmp_path / "pot.json"
-    cp = run_cli("potential", "--mirror", "perfect_conductor",
-                 "--format", "json", "--out", str(out),
-                 "--points", "60", "--z-min-a0", "0.5", "--z-max-a0", "1e6",
-                 cwd=tmp_path)
+    cp = run_main("potential", "--mirror", "perfect_conductor",
+                  "--format", "json", "--out", str(out),
+                  "--points", "60", "--z-min-a0", "0.5", "--z-max-a0", "1e6")
     assert cp.returncode == 0, cp.stderr
     payload = json.loads(out.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["fit"]["C4_Eh_a04"] == pytest.approx(73.6, rel=0.015)
     assert payload["columns"][:4] == ["z_a0", "z_nm", "V_Eh", "V_neV"]
 
 
-def test_deterministic_output_without_timestamp(run_cli, tmp_path):
+def test_deterministic_output_without_timestamp(run_main, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
     for out in (a, b):
-        cp = run_cli("potential", "--mirror", "perfect_conductor",
-                     "--points", "40", "--z-min-a0", "1", "--z-max-a0", "1e5",
-                     "--out", str(out), "--no-timestamp", cwd=tmp_path)
+        cp = run_main("potential", "--mirror", "perfect_conductor",
+                      "--points", "40", "--z-min-a0", "1", "--z-max-a0", "1e5",
+                      "--out", str(out), "--no-timestamp")
         assert cp.returncode == 0, cp.stderr
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_timestamp_header_present_by_default(run_cli, tmp_path):
+def test_timestamp_header_present_by_default(run_main, tmp_path):
     out = tmp_path / "c.csv"
-    cp = run_cli("potential", "--mirror", "perfect_conductor",
-                 "--points", "40", "--z-min-a0", "1", "--z-max-a0", "1e5",
-                 "--out", str(out), cwd=tmp_path)
+    cp = run_main("potential", "--mirror", "perfect_conductor",
+                  "--points", "40", "--z-min-a0", "1", "--z-max-a0", "1e5",
+                  "--out", str(out))
     assert cp.returncode == 0
     assert out.read_text().startswith("# generated:")
 
 
-def test_reflect_perfect_conductor_30cm(run_cli, tmp_path):
+def test_reflect_perfect_conductor_30cm(run_main, tmp_path):
     out = tmp_path / "refl.csv"
-    cp = run_cli("reflect", "--mirror", "perfect_conductor",
-                 "--height-cm", "30", "--out", str(out), "--no-timestamp",
-                 cwd=tmp_path)
+    cp = run_main("reflect", "--mirror", "perfect_conductor",
+                  "--height-cm", "30", "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     lines = out.read_text().splitlines()
     assert lines[0] == "h_m,E_neV,refl_prob,loss,re_r,im_r,flux_drift"
@@ -243,11 +242,11 @@ def test_reflect_perfect_conductor_30cm(run_cli, tmp_path):
     assert prob == pytest.approx(0.05, abs=0.01)
 
 
-def test_badlands_trends(run_cli, tmp_path):
+def test_badlands_trends(run_main, tmp_path):
     out = tmp_path / "bad.json"
-    cp = run_cli("badlands", "--mirror", "perfect_conductor",
-                 "--height-cm", "10", "--height-cm", "30", "--height-cm", "50",
-                 "--format", "json", "--out", str(out), cwd=tmp_path)
+    cp = run_main("badlands", "--mirror", "perfect_conductor",
+                  "--height-cm", "10", "--height-cm", "30", "--height-cm", "50",
+                  "--format", "json", "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     payload = json.loads(out.read_text())
     peaks = payload["peaks"]
@@ -257,18 +256,18 @@ def test_badlands_trends(run_cli, tmp_path):
     assert zs[0] > zs[1] > zs[2]
 
 
-def test_lifetime_command(run_cli, tmp_path):
+def test_lifetime_command(run_main, tmp_path):
     out = tmp_path / "life.csv"
-    cp = run_cli("lifetime", "--mirror", "perfect_conductor",
-                 "--out", str(out), "--no-timestamp", cwd=tmp_path)
+    cp = run_main("lifetime", "--mirror", "perfect_conductor",
+                  "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     lines = out.read_text().splitlines()
-    assert lines[0] == "material,porosity,im_a_nm,lifetime_s"
+    assert lines[0] == "material,porosity,im_a_nm,lifetime_s,re_a_nm"
     tau = float(lines[1].split(",")[3])
     assert tau == pytest.approx(0.11, rel=0.20)
 
 
-def test_config_file_with_cli_override(run_cli, tmp_path):
+def test_config_file_with_cli_override(run_main, tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("mirror = perfect_conductor\n"
                    "points = 40\n"
@@ -276,23 +275,22 @@ def test_config_file_with_cli_override(run_cli, tmp_path):
                    "z_max_a0 = 1e5\n"
                    "no_timestamp = true\n")
     out1 = tmp_path / "one.csv"
-    cp = run_cli("potential", "--config", str(cfg), "--out", str(out1),
-                 cwd=tmp_path)
+    cp = run_main("potential", "--config", str(cfg), "--out", str(out1))
     assert cp.returncode == 0, cp.stderr
     assert "perfect conductor" in out1.read_text()
     # CLI flag overrides the config value
     out2 = tmp_path / "two.csv"
-    cp = run_cli("potential", "--config", str(cfg), "--mirror", "silicon",
-                 "--out", str(out2), cwd=tmp_path)
+    cp = run_main("potential", "--config", str(cfg), "--mirror", "silicon",
+                  "--out", str(out2))
     assert cp.returncode == 0, cp.stderr
     assert "silicon" in out2.read_text()
 
 
-def test_bad_config_key_exits_2(run_cli, tmp_path):
+def test_bad_config_key_exits_2(run_main, tmp_path):
     cfg = tmp_path / "run.conf"
     cfg.write_text("flux_capacitor = 1\n")
-    cp = run_cli("potential", "--config", str(cfg),
-                 "--mirror", "perfect_conductor", cwd=tmp_path)
+    cp = run_main("potential", "--config", str(cfg),
+                  "--mirror", "perfect_conductor")
     assert cp.returncode == 2
 
 
@@ -403,15 +401,15 @@ def test_slab_far_thicker_than_the_grid_is_bulk(monkeypatch, tmp_path,
             == pytest.approx([row[col] for row in bulk["rows"]], rel=1e-9))
 
 
-def test_numerical_failure_exits_1(run_cli, tmp_path):
+def test_numerical_failure_exits_1(run_main):
     # grids clipped at the far end: at 1e3 a0 the far WKB-exact region is
     # off-table, at 3e4 a0 r has not converged by the table end.  The solve
     # of the only point fails, and the solver's message reaches stderr.
     for z_max, points, message in (("1e3", "200", "WKB-exact region"),
                                    ("3e4", "300", "did not converge")):
-        cp = run_cli("reflect", "--mirror", "perfect_conductor",
-                     "--height-cm", "30", "--z-min-a0", "1e-8",
-                     "--z-max-a0", z_max, "--points", points, cwd=tmp_path)
+        cp = run_main("reflect", "--mirror", "perfect_conductor",
+                      "--height-cm", "30", "--z-min-a0", "1e-8",
+                      "--z-max-a0", z_max, "--points", points)
         assert cp.returncode == 1
         # the CLI's own message, not a crash that also exits 1
         assert "numerical failure: h = 0.3 m:" in cp.stderr, cp.stderr
@@ -452,10 +450,9 @@ def test_badlands_heights_that_collide_exit_2(monkeypatch, tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
-def test_reproduce_table1(run_cli, tmp_path):
+def test_reproduce_table1(run_main, tmp_path):
     out = tmp_path / "t1.csv"
-    cp = run_cli("reproduce", "table1", "--out", str(out), "--no-timestamp",
-                 cwd=tmp_path)
+    cp = run_main("reproduce", "table1", "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     lines = out.read_text().splitlines()
     rows = [ln for ln in lines if ln.startswith("table1")]
@@ -465,22 +462,22 @@ def test_reproduce_table1(run_cli, tmp_path):
     assert float(pc_c3.split(",")[3]) == pytest.approx(0.25, rel=0.01)
 
 
-def test_custom_material_file_path(run_cli, tmp_path):
+def test_custom_material_file_path(run_main, tmp_path):
     custom = tmp_path / "mymat"
     custom.write_text("name = mymat\nosc = 0.27, 0.025, 0.0\n")
     out = tmp_path / "pot.csv"
-    cp = run_cli("potential", "--mirror", str(custom), "--points", "60",
-                 "--z-min-a0", "0.5", "--z-max-a0", "1e6",
-                 "--out", str(out), cwd=tmp_path)
+    cp = run_main("potential", "--mirror", str(custom), "--points", "60",
+                  "--z-min-a0", "0.5", "--z-max-a0", "1e6",
+                  "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     assert "mymat" in out.read_text()
 
 
-def test_potential_slab_far_exponent(run_cli, tmp_path):
+def test_potential_slab_far_exponent(run_main, tmp_path):
     out = tmp_path / "slab.json"
-    cp = run_cli("potential", "--mirror", "silica", "--slab-nm", "5",
-                 "--z-min-a0", "1e-2", "--z-max-a0", "1e7",
-                 "--format", "json", "--out", str(out), cwd=tmp_path)
+    cp = run_main("potential", "--mirror", "silica", "--slab-nm", "5",
+                  "--z-min-a0", "1e-2", "--z-max-a0", "1e7",
+                  "--format", "json", "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     payload = json.loads(out.read_text())
     assert payload["fit"]["far_exponent"] == pytest.approx(5.0, abs=0.05)
@@ -488,19 +485,18 @@ def test_potential_slab_far_exponent(run_cli, tmp_path):
     assert payload["fit"]["C4_Eh_a04"] is None
 
 
-def test_reflect_silica_30cm(run_cli, tmp_path):
+def test_reflect_silica_30cm(run_main, tmp_path):
     out = tmp_path / "silica.csv"
-    cp = run_cli("reflect", "--mirror", "silica", "--height-cm", "30",
-                 "--out", str(out), "--no-timestamp", cwd=tmp_path)
+    cp = run_main("reflect", "--mirror", "silica", "--height-cm", "30",
+                  "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     prob = float(out.read_text().splitlines()[1].split(",")[2])
     assert prob == pytest.approx(0.18, abs=0.03)
 
 
-def test_reproduce_fig2_structural(run_cli, tmp_path):
+def test_reproduce_fig2_structural(run_main, tmp_path):
     out = tmp_path / "fig2.csv"
-    cp = run_cli("reproduce", "fig2", "--out", str(out), "--no-timestamp",
-                 cwd=tmp_path)
+    cp = run_main("reproduce", "fig2", "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     text = out.read_text()
     assert ",fail," not in text
@@ -510,10 +506,9 @@ def test_reproduce_fig2_structural(run_cli, tmp_path):
     assert all(",pass," in r for r in rows)
 
 
-def test_reproduce_fig1_structural(run_cli, tmp_path):
+def test_reproduce_fig1_structural(run_main, tmp_path):
     out = tmp_path / "fig1.csv"
-    cp = run_cli("reproduce", "fig1", "--out", str(out), "--no-timestamp",
-                 cwd=tmp_path)
+    cp = run_main("reproduce", "fig1", "--out", str(out), "--no-timestamp")
     assert cp.returncode == 0, cp.stderr
     rows = [ln for ln in out.read_text().splitlines() if ln.startswith("fig1")]
     assert len(rows) == 2

@@ -88,8 +88,8 @@ def test_sweep_with_a_failed_point(tmp_path, c4_table):
 
 
 def test_lifetime_rows(tmp_path):
-    data = [("bulk silica", None, 14.59, 0.2202),
-            ("porous silica f=0.98", 0.98, 0.6788, 4.7335)]
+    data = [("bulk silica", None, 14.59, 0.2202, -4.327),
+            ("porous silica f=0.98", 0.98, 0.6788, 4.7335, -0.8552)]
     _, rows, payload = _both(tmp_path, reporting.lifetime_csv,
                              reporting.lifetime_json, data)
     _assert_rows_agree(rows, payload, missing="")
