@@ -13,13 +13,31 @@ wavelength grows (a few chunks at a time, each block one banded unit
 lower-triangular solve by LAPACK's dtbtrs, with the Numerov factor f taken
 straight from V), and projected onto the WKB basis at the far end.  Only
 |r| is convention-free and compared against the amplitude solver.
+
+Near the surface |V| dwarfs the free-fall energies.  Where E < 2^-54 |V|,
+E is below half an ulp of |V|, so E - V rounds to -V and every wavevector,
+step, Numerov factor and doubling decision is the one of E = 0: the march
+up to there is the same at every such energy (below z of about 3e-3 a0 at
+30 cm on the perfect conductor, 84% of its wavelengths).  So a call records
+its state after each block while its E stays below 2^-54 times the least
+|V| read so far (the seed's reads, each block's V and each chunk-end V),
+and a later call on the same table, z_start and points per wavelength
+resumes from the farthest recorded state whose bound lies above its E and
+whose last node lies below its z_end (so every recorded chunk was full for
+its window too).  The resumed march is the cold one bit for bit.  States
+are kept per table in a weak mapping and are small (a seed of two rows
+each); a longer record is published by one assignment, so threads sharing
+a table never see a torn one (two threads extending it at once may lose
+one extension, which costs only the work of recording it again).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -31,6 +49,11 @@ _M = CONSTANTS.mass_au
 _GL16_X, _GL16_W = leggauss(16)
 _POINTS_PER_WAVELENGTH = 100   # Numerov points per local de Broglie wavelength
 _BLOCK_CHUNKS = 8              # chunks per banded solve; bounds its memory
+# E below 2^-54 |V| leaves E - V = -V; a table reads V < 0 (0 on the null
+# table), so the least |V| read is minus the largest V
+_ZERO_ENERGY = 2.0 ** -54
+# table -> {(z_start, _POINTS_PER_WAVELENGTH): tuple of _MarchState}
+_MARCHES = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -40,15 +63,27 @@ class NumerovResult:
     n_points: int
 
 
+class _MarchState(NamedTuple):
+    """A zero-energy march between two blocks: the last node, the step and
+    the two seed rows of the next block, the points so far, and 2^-54 times
+    the least |V| read up to here."""
+    z_last: float
+    h: float
+    seed: np.ndarray
+    total_points: int
+    bound: float
+
+
 def _phase_between(table: PotentialTable, energy_au: float,
-                   z1: float, z2: float) -> float:
-    """Integral of p(z) over [z1, z2] by 16-point Gauss-Legendre."""
+                   z1: float, z2: float) -> tuple[float, float]:
+    """Integral of p(z) over [z1, z2] by 16-point Gauss-Legendre, and the
+    largest V it read."""
     half = 0.5 * (z2 - z1)
     mid = 0.5 * (z2 + z1)
     z = mid + half * _GL16_X
     v = table.potential(z)
     p = np.sqrt(2.0 * _M * (energy_au - v))
-    return float(half * np.sum(_GL16_W * p))
+    return float(half * np.sum(_GL16_W * p)), float(v.max())
 
 
 def numerov_reflection(table: PotentialTable, energy_au: float,
@@ -71,18 +106,36 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         return np.sqrt(two_m * (energy_au - table.potential(z)))
 
     ppw = float(_POINTS_PER_WAVELENGTH)
-    k0 = float(wavevector(z_start))
+    v0 = table.potential(z_start)
+    k0 = math.sqrt(two_m * (energy_au - v0))
     h = 2.0 * math.pi / (k0 * ppw)
     if z_start + h >= z_end:
         raise ValueError("integration window shorter than one step")
 
-    # WKB seed for the incoming wave at the two leading points, (Re, Im)
-    k2 = float(wavevector(z_start + h))
-    phi12 = _phase_between(table, energy_au, z_start, z_start + h)
-    psi2 = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
-    seed = [[1.0 / math.sqrt(k0), 0.0], [psi2.real, psi2.imag]]
-    z_last = z_start + h
-    total_points = 2
+    # resume from the farthest recorded state this energy and window allow;
+    # bounds fall and z_last rises along the states, so those form a prefix
+    key = (z_start, _POINTS_PER_WAVELENGTH)
+    states = _MARCHES.get(table, {}).get(key, ())
+    n = 0
+    while (n < len(states) and energy_au < states[n].bound
+           and states[n].z_last < z_end):
+        n += 1
+    if n:
+        z_last, h, seed, total_points, bound = states[n - 1]
+    else:
+        # WKB seed for the incoming wave at the two leading points, (Re, Im)
+        v2 = table.potential(z_start + h)
+        k2 = math.sqrt(two_m * (energy_au - v2))
+        phi12, v_top = _phase_between(table, energy_au, z_start, z_start + h)
+        psi2 = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
+        seed = [[1.0 / math.sqrt(k0), 0.0], [psi2.real, psi2.imag]]
+        z_last = z_start + h
+        total_points = 2
+        bound = -_ZERO_ENERGY * max(v0, v2, v_top)
+    # only a call that starts from the farthest state extends the record
+    recording = n == len(states) and energy_au < bound
+    recorded = []
+    pending = None
     psi_tail = None
     z_tail = None
 
@@ -96,11 +149,13 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     # march
     #     f2 psi_n+1 - (12 - 10 f1) psi_n + f0 psi_n-1 = 0
     # is one banded forward substitution; f is real, so Re psi and Im psi
-    # are two right-hand sides of the same system.
+    # are two right-hand sides of the same system.  While E stays below the
+    # bound, the state after a block of full chunks other than the last is
+    # recorded once the next block has begun.
     full = int(max(64, 4 * ppw))
     done = False
     while not done:
-        bases, counts = [], []
+        bases, counts, v_ends = [], [], []
         doubles = False
         z = z_last
         for _ in range(_BLOCK_CHUNKS):
@@ -115,7 +170,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             if z >= z_end:
                 done = True
                 break
-            k = math.sqrt(two_m * (energy_au - table.derivatives_scalar(z)[0]))
+            v_ends.append(table.derivatives_scalar(z)[0])
+            k = math.sqrt(two_m * (energy_au - v_ends[-1]))
             if 2.0 * math.pi / (k * h) >= 2.0 * ppw:
                 doubles = True
                 break
@@ -123,6 +179,9 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
                 break
         if not counts:
             break
+        if pending is not None:
+            recorded.append(pending)
+            pending = None
         # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i;
         # only a block's last chunk can be short, so the rows of one outer
         # sum, cut after the last node, hold every chunk's nodes
@@ -155,9 +214,16 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             seed = psi[[-3, -1]]
             h *= 2.0
         else:
-            seed = psi[-2:]
+            seed = psi[-2:].copy()
+        if recording:
+            bound = min(bound, -_ZERO_ENERGY * max([v.max(), *v_ends]))
+            recording = energy_au < bound
+            if recording and counts[-1] == full:
+                pending = _MarchState(z_last, h, seed, total_points, bound)
     if psi_tail is None:
         raise ValueError("integration window shorter than one step")
+    if recorded:
+        _MARCHES.setdefault(table, {})[key] = states + tuple(recorded)
 
     # project the last stretch onto the WKB basis; pick a second matching
     # point a quarter wavelength back so the 2x2 system is well conditioned
@@ -170,7 +236,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     j1 = max(0, j2 - quarter)
     za, zb = float(z_tail[j1]), float(z_tail[j2])
     ka, kb = float(wavevector(za)), float(wavevector(zb))
-    dphi = _phase_between(table, energy_au, za, zb)
+    dphi = _phase_between(table, energy_au, za, zb)[0]
     # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
     m11 = 1.0 / math.sqrt(ka)
     m12 = 1.0 / math.sqrt(ka)

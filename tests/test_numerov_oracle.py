@@ -4,8 +4,12 @@ inverse-fourth-power potential.
 """
 
 import cmath
+import gc
 import math
+import random
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +24,20 @@ from qrmirror.reflection import solve_reflection
 _M = CONSTANTS.mass_au
 E30 = CONSTANTS.energy_au_from_height(0.30)
 ENERGIES = [E30, CONSTANTS.energy_au_from_height(1.0)]
+
+
+@pytest.fixture
+def fresh_marches(monkeypatch):
+    """An empty record of zero-energy march states for this test."""
+    monkeypatch.setattr(numerov, "_MARCHES", weakref.WeakKeyDictionary())
+    return numerov._MARCHES
+
+
+def _cold(table, energy, z_start, z_end):
+    """The oracle marching from its seed: nothing recorded to resume from."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerov, "_MARCHES", weakref.WeakKeyDictionary())
+        return numerov_reflection(table, energy, z_start, z_end)
 
 
 def _compare(table):
@@ -78,7 +96,7 @@ def _scalar_march(table, energy, z_start, z_end):
     ppw = float(numerov._POINTS_PER_WAVELENGTH)
     k0 = float(k(z_start))
     h = 2.0 * math.pi / (k0 * ppw)
-    phi = numerov._phase_between(table, energy, z_start, z_start + h)
+    phi = numerov._phase_between(table, energy, z_start, z_start + h)[0]
     prev = 1.0 / math.sqrt(k0) + 0.0j
     last = (1.0 / math.sqrt(float(k(z_start + h)))) * cmath.exp(-1j * phi)
     z_last, n_points = z_start + h, 2
@@ -105,7 +123,7 @@ def _scalar_march(table, energy, z_start, z_end):
     j1 = max(0, j2 - max(1, round(0.5 * math.pi / (float(k(z_last)) * dz))))
     za, zb = float(z_tail[j1]), float(z_tail[j2])
     # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
-    dphi = numerov._phase_between(table, energy, za, zb)
+    dphi = numerov._phase_between(table, energy, za, zb)[0]
     a, b = 1.0 / math.sqrt(float(k(za))), 1.0 / math.sqrt(float(k(zb)))
     c_plus = b * cmath.exp(-1j * dphi) * tail[j1] - a * tail[j2]
     c_minus = a * tail[j2] - b * cmath.exp(1j * dphi) * tail[j1]
@@ -143,8 +161,7 @@ def test_block_size_leaves_the_march_unchanged(pc_table, monkeypatch,
     runs = []
     for chunks in (numerov._BLOCK_CHUNKS, 1, 10_000):
         monkeypatch.setattr(numerov, "_BLOCK_CHUNKS", chunks)
-        runs.append(numerov_reflection(pc_table, energy,
-                                       res.z_start, res.z_end))
+        runs.append(_cold(pc_table, energy, res.z_start, res.z_end))
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -152,10 +169,177 @@ def test_block_size_leaves_the_march_unchanged(pc_table, monkeypatch,
 def test_oracle_self_convergence(pure_c4_table, monkeypatch):
     res = solve_reflection(pure_c4_table, E30)
     monkeypatch.setattr(numerov, "_POINTS_PER_WAVELENGTH", 60)
-    coarse = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end)
+    coarse = _cold(pure_c4_table, E30, res.z_start, res.z_end)
     monkeypatch.setattr(numerov, "_POINTS_PER_WAVELENGTH", 200)
-    fine = numerov_reflection(pure_c4_table, E30, res.z_start, res.z_end)
+    fine = _cold(pure_c4_table, E30, res.z_start, res.z_end)
     assert coarse.r_magnitude == pytest.approx(fine.r_magnitude, abs=2e-5)
+
+
+_REGISTRY = ["perfect_conductor", "silicon", "silica", "silica_slab_5nm",
+             "graphene", "nanodiamond_p95", "porous_silicon_p95",
+             "silica_aerogel_p98"]
+
+
+@pytest.mark.parametrize("name", _REGISTRY + ["pure_c3", "pure_c4"])
+def test_resumed_march_equals_the_cold_march(request, registry_table, name,
+                                             fresh_marches):
+    # below 2^-54 |V| the energy drops out of E - V, so a march resumed
+    # from a state recorded at another energy is the cold march bit for
+    # bit; shuffled heights make later calls resume, extend the record or
+    # stop short of it, and windows ending anywhere from the near-surface
+    # stretch to the table end check that a resumed window never cuts a
+    # recorded chunk short
+    if name.startswith("pure_"):
+        table = request.getfixturevalue(name + "_table")
+    else:
+        table = registry_table(name)
+    rng = random.Random(name)
+    heights = [1e-7, 1e-5, 1e-3, 0.0148, 0.30, 1.0]
+    rng.shuffle(heights)
+    z_start = solve_reflection(table, E30).z_start
+    for height in heights:
+        energy = CONSTANTS.energy_au_from_height(height)
+        if height < 1e-4:   # far out, few wavelengths: march to the end
+            z_end = table.z_max
+        else:
+            z_end = z_start * (1e5 / z_start) ** rng.uniform(0.05, 1)
+        warm = numerov_reflection(table, energy, z_start, z_end)
+        assert warm == _cold(table, energy, z_start, z_end), height
+    recorded = fresh_marches.get(table, {}).get(
+        (z_start, numerov._POINTS_PER_WAVELENGTH), ())
+    # the -C4/z^4 window starts at 17 a0, where no height's E is negligible
+    assert (len(recorded) > 0) == (name != "pure_c4")
+    # the resume scan relies on z_last rising and the bound falling
+    z_lasts = [state.z_last for state in recorded]
+    bounds = [state.bound for state in recorded]
+    assert z_lasts == sorted(set(z_lasts))
+    assert bounds == sorted(bounds, reverse=True)
+    if recorded:
+        # a window ending inside the record resumes short of its end and
+        # leaves the record as it is
+        z_end = recorded[len(recorded) // 2].z_last
+        energy = CONSTANTS.energy_au_from_height(1e-7)
+        warm = numerov_reflection(table, energy, z_start, z_end)
+        assert warm == _cold(table, energy, z_start, z_end)
+        assert fresh_marches[table][
+            z_start, numerov._POINTS_PER_WAVELENGTH] is recorded
+
+
+def test_no_state_at_the_table_end(fresh_marches):
+    # a table that ends less than a step past a recorded block end stops
+    # the march there: nothing follows that block, so its state is not
+    # recorded, and a later call resumes from an earlier one
+    ppw = numerov._POINTS_PER_WAVELENGTH
+    tail = PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
+    e7 = CONSTANTS.energy_au_from_height(1e-7)
+    numerov_reflection(tail, e7, 1e-4, 1e3)
+    states = fresh_marches[tail][1e-4, ppw]
+    state = states[len(states) // 2]
+    z_max = state.z_last + 0.5 * state.h
+    table = PotentialTable.from_power_law(0.25, 3.0, 1e-8, z_max, 480)
+    assert numerov_reflection(table, e7, 1e-4, z_max).z_end == state.z_last
+    assert fresh_marches[table][1e-4, ppw][-1].z_last < state.z_last
+    energy = CONSTANTS.energy_au_from_height(1e-6)
+    assert (numerov_reflection(table, energy, 1e-4, z_max)
+            == _cold(table, energy, 1e-4, z_max))
+
+
+def test_later_energies_skip_the_shared_stretch(pc_table, fresh_marches,
+                                                monkeypatch):
+    # after one call at 30 cm, calls at other heights solve only the rows
+    # past the near-surface stretch they share with it
+    import scipy.linalg.lapack
+
+    solve = scipy.linalg.lapack.dtbtrs
+    rows = []
+
+    def counting(ab, b, **kwargs):
+        rows[-1] += ab.shape[1]
+        return solve(ab, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", counting)
+    for height in (0.30, 0.0148, 0.42):
+        energy = CONSTANTS.energy_au_from_height(height)
+        res = solve_reflection(pc_table, energy)
+        rows.append(0)
+        numerov_reflection(pc_table, energy, res.z_start, res.z_end)
+    assert rows[0] > 200_000
+    assert max(rows[1:]) <= 0.3 * rows[0], rows
+
+
+def test_record_is_per_points_per_wavelength(pc_table, fresh_marches,
+                                             monkeypatch):
+    # states recorded at 100 points per wavelength are another grid: a
+    # 60-point march must not resume from them
+    res = solve_reflection(pc_table, E30)
+    numerov_reflection(pc_table, E30, res.z_start, res.z_end)
+    energy = CONSTANTS.energy_au_from_height(0.42)
+    monkeypatch.setattr(numerov, "_POINTS_PER_WAVELENGTH", 60)
+    coarse = numerov_reflection(pc_table, energy, res.z_start, res.z_end)
+    assert coarse == _cold(pc_table, energy, res.z_start, res.z_end)
+
+
+def test_record_goes_with_its_table(fresh_marches):
+    # the record holds no reference to its table, and its seeds own their
+    # two rows instead of pinning a block's wavefunction
+    table = PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
+    for height in (0.30, 1e-7):
+        energy = CONSTANTS.energy_au_from_height(height)
+        numerov_reflection(table, energy, 1e-4, 1e3)
+    states = fresh_marches[table][1e-4, numerov._POINTS_PER_WAVELENGTH]
+    assert len(states) > 10
+    assert len({state.h for state in states}) > 1     # doubled seeds too
+    for state in states:
+        assert state.seed.shape == (2, 2)
+        assert state.seed.base is None and state.seed.flags.owndata
+    gone = weakref.ref(table)
+    del table
+    gc.collect()
+    assert gone() is None
+    assert len(fresh_marches) == 0
+
+
+def test_threads_sharing_a_table(pc_table, fresh_marches):
+    # three threads record and resume on one table at once, with a short
+    # switch interval: each result is the cold one, and the record left
+    # behind is a prefix of the one a lone zero-energy march makes
+    windows = {}
+    for height in (0.30, 1e-7, 0.42):
+        energy = CONSTANTS.energy_au_from_height(height)
+        res = solve_reflection(pc_table, energy)
+        windows[height] = (energy, res.z_start, res.z_end)
+    cold = {h: _cold(pc_table, *w) for h, w in windows.items()}
+    key = (windows[1e-7][1], numerov._POINTS_PER_WAVELENGTH)
+    numerov_reflection(pc_table, *windows[1e-7])
+    lone = fresh_marches[pc_table][key]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            fresh_marches.clear()
+            start = threading.Barrier(len(windows))
+            results = {}
+
+            def run(height):
+                start.wait(timeout=60)
+                results[height] = numerov_reflection(pc_table,
+                                                     *windows[height])
+
+            threads = [threading.Thread(target=run, args=(h,))
+                       for h in windows]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert results == cold
+            record = fresh_marches[pc_table][key]
+            assert 0 < len(record) <= len(lone)
+            for got, want in zip(record, lone):
+                assert got[:2] + got[3:] == want[:2] + want[3:]
+                assert np.array_equal(got.seed, want.seed)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scattering_length_matches_exact_inverse_fourth(pure_c4_table):
