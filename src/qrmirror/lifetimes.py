@@ -91,7 +91,7 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
         raise ExtractionError(
             f"{table.label}: the table [{table.z_min:g}, {table.z_max:g}] a0 "
             f"does not hold the read-outs of a at {z1:g} and {z2:g} a0")
-    sigma, dropped = _wkb_launch(table, 0.0, grid)
+    sigma, dropped = _wkb_launch(0.0, grid, table.grid_taylor[:, :grid.size])
     i = np.count_nonzero(np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL) - 1
     if i < 0:
         raise ExtractionError(

@@ -140,13 +140,13 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     z_tail = None
 
     # piecewise-uniform grid in chunks of one step h, which doubles at a
-    # chunk end when the local wavelength allows; a new segment re-uses two
-    # points a spacing h_new = 2 h_old apart (indices -3 and -1).  A chunk
-    # may run up to two steps past z_end but never past the table: the march
-    # ends within one step of z_max when the window reaches it.  Up to
-    # _BLOCK_CHUNKS chunks form a block, cut after the first end where the
-    # step doubles or after a chunk shorter than the rest, and each block's
-    # march
+    # chunk end when the local wavelength allows; a chunk after a doubling
+    # starts from two points a spacing h_new = 2 h_old apart (indices -3
+    # and -1 of the chunk before).  A chunk may run up to two steps past
+    # z_end but never past the table: the march ends within one step of
+    # z_max when the window reaches it.  _BLOCK_CHUNKS chunks form a block,
+    # fewer when a chunk shorter than the rest or the end of the march cuts
+    # it, each chunk with its own step, and each block's march
     #     f2 psi_n+1 - (12 - 10 f1) psi_n + f0 psi_n-1 = 0
     # is one banded forward substitution; f is real, so Re psi and Im psi
     # are two right-hand sides of the same system.  While E stays below the
@@ -155,8 +155,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     full = int(max(64, 4 * ppw))
     done = False
     while not done:
-        bases, counts, v_ends = [], [], []
-        doubles = False
+        bases, steps, counts, v_ends = [], [], [], []
         z = z_last
         for _ in range(_BLOCK_CHUNKS):
             n_max = int(min(full, math.ceil((z_end - z) / h) + 1,
@@ -165,6 +164,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
                 done = True
                 break
             bases.append(z)
+            steps.append(h)
             counts.append(n_max)
             z = z + h * n_max
             if z >= z_end:
@@ -173,8 +173,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             v_ends.append(table.derivatives_scalar(z)[0])
             k = math.sqrt(two_m * (energy_au - v_ends[-1]))
             if 2.0 * math.pi / (k * h) >= 2.0 * ppw:
-                doubles = True
-                break
+                h *= 2.0
             if n_max < full:    # a short chunk ends its block
                 break
         if not counts:
@@ -182,27 +181,33 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         if pending is not None:
             recorded.append(pending)
             pending = None
-        # chunk i has nodes base_i + h j, j = -1 .. counts_i, from index p_i;
-        # only a block's last chunk can be short, so the rows of one outer
-        # sum, cut after the last node, hold every chunk's nodes
+        # chunk i has nodes base_i + h_i j, j = -1 .. counts_i, from index
+        # p_i; only a block's last chunk can be short, so the rows of one
+        # outer sum, cut after the last node, hold every chunk's nodes
         sizes = np.array(counts) + 2
         p = np.cumsum(sizes) - sizes
-        z_nodes = (np.array(bases)[:, None]
-                   + h * np.arange(-1.0, counts[0] + 1)).ravel()[:sizes.sum()]
+        hs = np.array(steps)
+        z_nodes = (np.array(bases)[:, None] + hs[:, None]
+                   * np.arange(-1.0, counts[0] + 1)).ravel()[:sizes.sum()]
         v = table.potential(z_nodes)
-        f = 1.0 + (h * h / 12.0) * (two_m * (energy_au - v))
+        f = 1.0 + (np.repeat(hs * hs / 12.0, sizes)
+                   * (two_m * (energy_au - v)))
         # LAPACK band storage, one column per node, each row divided by its
         # f2: a unit diagonal (row 0, which diag="U" never reads), then
-        # -(12 - 10 f1)/f2 and f0/f2 of the rows that read it, so the serial
-        # substitution only multiplies and adds.  The two nodes at the start
-        # p of each chunk repeat the two nodes before them, or at p = 0 hold
-        # the seed (its writes before p land in band slots outside the
-        # matrix).
-        ab = np.empty((3, z_nodes.size), order="F")
+        # -(12 - 10 f1)/f2, f0/f2 and 0 of the rows that read them, so the
+        # serial substitution only multiplies and adds.  The two nodes at
+        # the start p of each chunk repeat nodes -2 and -1 before them, or
+        # -3 and -1 after a doubling, or at p = 0 hold the seed (its writes
+        # before p land in band slots outside the matrix).
+        doubled = p[1:][hs[1:] > hs[:-1]]
+        ab = np.empty((4, z_nodes.size), order="F")
         ab[1, :-1] = (10.0 * f[:-1] - 12.0) / f[1:]
         ab[2, :-2] = f[:-2] / f[2:]
+        ab[3] = 0.0
         ab[1, p - 1] = ab[1, p] = 0.0
         ab[2, p - 2] = ab[2, p - 1] = -1.0
+        ab[2, doubled - 2] = 0.0
+        ab[3, doubled - 3] = -1.0
         psi = np.zeros((2, z_nodes.size)).T
         psi[:2] = seed
         psi, _ = dtbtrs(ab, psi, uplo="L", diag="U", overwrite_b=True)
@@ -210,9 +215,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         z_last = float(z_nodes[-1])
         psi_tail = psi[-(counts[-1] + 2):]
         z_tail = z_nodes[-(counts[-1] + 2):]
-        if doubles:
+        if h > steps[-1]:   # the step doubles after the block
             seed = psi[[-3, -1]]
-            h *= 2.0
         else:
             seed = psi[-2:].copy()
         if recording:

@@ -35,6 +35,7 @@ values (0.25 Eh a0^3 and 73.6 Eh a0^4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -443,6 +444,26 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
     return Asymptotics(**fit)
 
 
+# order of the Taylor rows a table keeps on its own grid: the amplitude
+# solver's launch series (its _WKB_ORDER + 1) and badlands Q read them
+_GRID_ORDER = 5
+
+
+@functools.cache
+def _log1p_powers(n: int) -> tuple[np.ndarray, ...]:
+    """ln(1 + u)^m cut after u^(n-1), m = 0 .. min(3, n - 1): the powers a
+    cubic in ln z composes with (ln(1 + u)^m starts at u^m, so the higher
+    ones are zero to this order)."""
+    k = np.arange(1, n)
+    log1p = np.concatenate([[0.0], -(-1.0) ** k / k])
+    powers = [np.eye(1, n)[0]]
+    for _ in range(min(3, n - 1)):
+        powers.append(np.convolve(powers[-1], log1p)[:n])
+    for pw in powers:
+        pw.flags.writeable = False
+    return tuple(powers)
+
+
 def _natural_spline(x, y):
     """(4, n-1) coefficients of the natural cubic spline through (x, y),
     those of scipy's ``CubicSpline(x, y, bc_type="natural").c`` bit for bit.
@@ -491,10 +512,13 @@ class PotentialTable:
     ``potential`` and Numerov's chunk ends) and the array paths
     (``potential``, and ``taylor``, which ``derivatives`` and the amplitude
     solver read) take segment int((t - t0)/dt) clipped to [0, n-2]; they
-    differ by rounding alone.  Range: z outside [z_min, z_max], with 1e-12
-    slack in ln z, raises ValueError; nothing is extrapolated.  V < 0 and
-    strictly increasing toward zero for every physical mirror; the all-zero
-    table is the free-space degenerate case used by tests.
+    differ by rounding alone.  Grid read (``grid_taylor``): ``taylor`` on
+    the table's own z to order 5, made on first use and kept, since the
+    solver's badlands Q and launch series there do not depend on the
+    energy.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
+    raises ValueError; nothing is extrapolated.  V < 0 and strictly
+    increasing toward zero for every physical mirror; the all-zero table is
+    the free-space degenerate case used by tests.
     """
 
     def __init__(self, z_au, v_au, label: str = ""):
@@ -585,6 +609,10 @@ class PotentialTable:
         ln(z (1 + u)) is the segment's s plus the series of ln(1 + u), the
         cubic in s is composed with it, and exp through the recurrence
         k b_k = Sum_j j w_j b_{k-j}; every series is cut after u^order.
+        Each z is read on its own, and the rows of a lower order are the
+        first rows of a higher one, bit for bit, so the order-5 read of the
+        table's own grid that ``grid_taylor`` keeps serves every lower
+        order there.
         """
         z = np.asarray(z_au, dtype=float)
         i, s = self._segments(z)
@@ -592,13 +620,8 @@ class PotentialTable:
         if self.is_null:
             return np.zeros((n,) + z.shape)
         c0, c1, c2, c3 = self._c.take(i, axis=1)
-        k = np.arange(1, n)
-        log1p = np.concatenate([[0.0], -(-1.0) ** k / k])
-        powers = [np.eye(1, n)[0]]           # ln(1 + u)^m, m = 0..3
-        for _ in range(3):
-            powers.append(np.convolve(powers[-1], log1p)[:n])
         # the cubic's Taylor coefficients in s, composed with the powers
-        w = sum(np.multiply.outer(pw, d) for pw, d in zip(powers, (
+        w = sum(np.multiply.outer(pw, d) for pw, d in zip(_log1p_powers(n), (
             ((c0 * s + c1) * s + c2) * s + c3,
             (3.0 * c0 * s + 2.0 * c1) * s + c2,
             3.0 * c0 * s + c1,
@@ -608,6 +631,15 @@ class PotentialTable:
         for m in range(1, n):
             b[m] = sum(j * w[j] * b[m - j] for j in range(1, m + 1)) / m
         return -b
+
+    @functools.cached_property
+    def grid_taylor(self) -> np.ndarray:
+        """``taylor(z, 5)`` on the table's own grid, read-only: made on
+        first use and kept (6 x n floats).  Threads that ask at once may
+        each make it; they make the same array."""
+        read = self.taylor(self.z, _GRID_ORDER)
+        read.flags.writeable = False
+        return read
 
     # -- convenience -------------------------------------------------------
 

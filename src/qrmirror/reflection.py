@@ -75,24 +75,35 @@ class BadlandsProfile:
     peak_q: float
 
 
-def badlands_q(table: PotentialTable, energy_au: float, z_au):
-    """Q(z) evaluated from analytic derivatives of the table interpolant."""
+def _check_energy(energy_au: float) -> None:
     if not 0 < energy_au < math.inf:
         raise ValueError(f"energy must be positive and finite, got {energy_au}")
+
+
+def badlands_q(table: PotentialTable, energy_au: float, z_au):
+    """Q(z) evaluated from analytic derivatives of the table interpolant."""
+    _check_energy(energy_au)
     z = np.asarray(z_au, dtype=float)
-    v, vp, vpp = table.derivatives(z)
+    q = _badlands(energy_au, z, table.taylor(z, 2))
+    return q if q.ndim else float(q)
+
+
+def _badlands(energy_au: float, z, a):
+    """Q at z from the Taylor rows a_k = z^k V^(k)/k! of V there."""
+    v, vp, vpp = a[0], a[1] / z, 2.0 * a[2] / (z * z)
     p_sq = 2.0 * _M * (energy_au - v)
     p = np.sqrt(p_sq)
     dp = -_M * vp / p
     d2p = -_M * vpp / p - _M**2 * vp * vp / (p * p_sq)
     schwarzian = d2p / p - 1.5 * (dp / p) ** 2
-    q = schwarzian / (2.0 * p_sq)
-    return q if q.ndim else float(q)
+    return schwarzian / (2.0 * p_sq)
 
 
 def badlands_profile(table: PotentialTable, energy_au: float) -> BadlandsProfile:
-    """Q sampled on the table grid, with its peak location and height."""
-    q = badlands_q(table, energy_au, table.z)
+    """Q sampled on the table grid (from the table's ``grid_taylor``), with
+    its peak location and height."""
+    _check_energy(energy_au)
+    q = _badlands(energy_au, table.z, table.grid_taylor)
     i = int(np.argmax(np.abs(q)))
     return BadlandsProfile(q=q, peak_z=float(table.z[i]), peak_q=float(q[i]))
 
@@ -125,9 +136,11 @@ def _wkb_bounds(table: PotentialTable,
     launch point is z_m, the last grid point before the peak up to which the
     running maximum of |y_{N+1}|/2p, the term the order-N launch drops,
     stays within _EDGE_TOL/4, the error of a first-order launch at z_start;
-    or z_start, if that lies further out.
+    or z_start, if that lies further out.  Both read V from the table's
+    Taylor rows on its grid (``grid_taylor``), which no energy changes.
     """
-    q = np.abs(badlands_q(table, energy_au, table.z))
+    rows = table.grid_taylor
+    q = np.abs(_badlands(energy_au, table.z, rows))
     i_peak = int(np.argmax(q))
     prefix_ok = np.maximum.accumulate(q) <= _EDGE_TOL
     start_candidates = np.nonzero(prefix_ok[: i_peak + 1])[0]
@@ -144,7 +157,8 @@ def _wkb_bounds(table: PotentialTable,
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
             f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
-    sigma, dropped = _wkb_launch(table, energy_au, table.z[: i_peak + 1])
+    sigma, dropped = _wkb_launch(energy_au, table.z[: i_peak + 1],
+                                 rows[:, : i_peak + 1])
     launch_candidates = np.nonzero(
         np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL)[0]
     i_m = launch_candidates[-1] if launch_candidates.size else 0
@@ -153,10 +167,11 @@ def _wkb_bounds(table: PotentialTable,
             complex(sigma[i_launch]), float(table.z[end_candidates[0]]))
 
 
-def _wkb_launch(table: PotentialTable, energy_au: float,
-                z) -> tuple[np.ndarray, np.ndarray]:
+def _wkb_launch(energy_au: float, z, a) -> tuple[np.ndarray, np.ndarray]:
     """(sigma, dropped) of the order-_WKB_ORDER WKB incoming wave on an
-    array of z: sigma = c+ e^{2i phi}/c- and the first dropped term's size.
+    array of z, from the Taylor rows a of V there (``PotentialTable.taylor``
+    to order _WKB_ORDER + 1 or higher): sigma = c+ e^{2i phi}/c- and the
+    first dropped term's size.
 
     With hbar = 1, y = psi'/psi obeys y' + y^2 + p^2 = 0, whose WKB series
     is y_0 = -ip and 2 y_0 y_n = -y_{n-1}' - Sum_{j=1}^{n-1} y_j y_{n-j}
@@ -171,7 +186,7 @@ def _wkb_launch(table: PotentialTable, energy_au: float,
     |Q'|/8p.
     """
     n = _WKB_ORDER + 2
-    a = table.taylor(z, n - 1)
+    a = a[:n]
     # (z p)^2 = 2m z^2 (E - V) as a series, then its square root
     p2 = -2.0 * _M * z * z * a
     p2[0] += 2.0 * _M * z * z * energy_au
@@ -198,13 +213,6 @@ def _wkb_launch(table: PotentialTable, energy_au: float,
     return sigma, np.abs(y[-1][0]) / (2.0 * zp[0])
 
 
-def _comm(a, b):
-    """[a, b] of traceless 2x2 matrices, rows (u, x, y) of [[u, x], [y, -u]]."""
-    (u1, x1, y1), (u2, x2, y2) = a, b
-    return np.stack((x1 * y2 - x2 * y1, 2.0 * (u1 * x2 - u2 * x1),
-                     2.0 * (u2 * y1 - u1 * y2)))
-
-
 def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
               phi0: float) -> tuple[list, ...]:
     """Transfer matrices exp(Omega) of the panels between ``edges``, as four
@@ -214,9 +222,13 @@ def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
     Omega is the sixth-order Magnus exponent from A at the three Gauss
     nodes of each panel (Blanes, Casas & Ros, BIT 40, 434, 2000).  A is
     anti-diagonal, A = (0, g e^{-2i phi}, g e^{2i phi}) with g = p'/2p =
-    -V'/(4 (E - V)), so the commutators are closed-form (``_comm``).  Omega
-    is traceless, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega with s^2 =
-    -det Omega; it conserves |c-|^2 - |c+|^2 to rounding.  phi at each
+    -V'/(4 (E - V)), written (u, x, y) for [[u, x], [y, -u]]: the alphas
+    are anti-diagonal too, so they carry (x, y) alone, and their
+    commutator c1 = [alpha_1, alpha_2] is diagonal, so it carries u alone.
+    V' is read by ``taylor(nodes, 1)``: the Gauss nodes lie off the grid,
+    so the table's kept grid read (``grid_taylor``) does not hold them.
+    Omega is traceless, so exp(Omega) = cosh(s) I + (sinh(s)/s) Omega with
+    s^2 = -det Omega; it conserves |c-|^2 - |c+|^2 to rounding.  phi at each
     node and edge is phi0 plus the panels before it plus one 6-point
     Gauss-Legendre rule from the panel's left edge (within 4e-13 of a
     16-point rule in r on the registry).
@@ -231,15 +243,25 @@ def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
     phase = np.exp(-2j * (np.append(phi0, phi[:-1])[:, None] + part[:, :3]))
     v, zv = table.taylor(nodes, 1)
     hg = h * zv / (-4.0 * nodes * (energy_au - v))
-    # h A at the nodes, as (u, x, y); alpha_1 = h A_2, alpha_2 and alpha_3
-    # and the Magnus exponent from them (ibid.)
-    ha = hg * np.stack((np.zeros_like(phase), phase, phase.conjugate()))
-    a1 = ha[..., 1]
-    a2 = math.sqrt(5.0 / 3.0) * (ha[..., 2] - ha[..., 0])
-    a3 = 10.0 / 3.0 * (ha[..., 2] - 2.0 * ha[..., 1] + ha[..., 0])
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
-    u, ox, oy = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    # h A at the nodes; alpha_1 = h A_2, alpha_2, alpha_3 and the Magnus
+    # exponent from them (ibid.), with [(x1, y1), (x2, y2)] = (x1 y2 -
+    # x2 y1) diag(1, -1) and [u diag(1, -1), (x, y)] = (2 u x, -2 u y)
+    x, y = hg * phase, hg * phase.conjugate()
+    x1, y1 = x[:, 1], y[:, 1]
+    x2, y2 = (math.sqrt(5.0 / 3.0) * (w[:, 2] - w[:, 0]) for w in (x, y))
+    x3, y3 = (10.0 / 3.0 * (w[:, 2] - 2.0 * w[:, 1] + w[:, 0])
+              for w in (x, y))
+    c1 = x1 * y2 - x2 * y1
+    # c2 = [alpha_1, 2 alpha_3 + c1] / -60
+    c2u = (x1 * y3 - x3 * y1) / -30.0
+    c2x, c2y = c1 * x1 / 30.0, c1 * y1 / -30.0
+    # Omega = alpha_1 + alpha_3/12 + [-20 alpha_1 - alpha_3 + c1,
+    # alpha_2 + c2]/240
+    lx, ly = -20.0 * x1 - x3, -20.0 * y1 - y3
+    rx, ry = x2 + c2x, y2 + c2y
+    u = (lx * ry - rx * ly) / 240.0
+    ox = x1 + x3 / 12.0 + (c1 * rx - c2u * lx) / 120.0
+    oy = y1 + y3 / 12.0 + (c2u * ly - c1 * ry) / 120.0
     s = np.sqrt(u * u + ox * oy)
     ch, sh = np.cosh(s), np.sinc(1j * s / math.pi)   # sinh(s)/s, 1 at s = 0
     return ((ch + sh * u).tolist(), (sh * ox).tolist(), (sh * oy).tolist(),
@@ -298,8 +320,7 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
     z_end_min where r has stopped changing (relative change below _R_TOL
     across the trailing decade of z).
     """
-    if not 0 < energy_au < math.inf:
-        raise ValueError(f"energy must be positive and finite, got {energy_au}")
+    _check_energy(energy_au)
     if table.is_null:
         return ReflectionResult(r=0.0j, probability=0.0, loss=1.0,
                                 energy_au=energy_au, z_start=table.z_min,

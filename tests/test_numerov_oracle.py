@@ -244,27 +244,47 @@ def test_no_state_at_the_table_end(fresh_marches):
             == _cold(table, energy, 1e-4, z_max))
 
 
+def _banded_solves(table, heights, monkeypatch):
+    """Rows of each banded solve of the oracle's calls at ``heights`` on
+    ``table``, one list per call, in order."""
+    import scipy.linalg.lapack
+
+    solve = scipy.linalg.lapack.dtbtrs
+    calls = []
+
+    def counting(ab, b, **kwargs):
+        calls[-1].append(ab.shape[1])
+        return solve(ab, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", counting)
+    for height in heights:
+        energy = CONSTANTS.energy_au_from_height(height)
+        res = solve_reflection(table, energy)
+        calls.append([])
+        numerov_reflection(table, energy, res.z_start, res.z_end)
+    return calls
+
+
 def test_later_energies_skip_the_shared_stretch(pc_table, fresh_marches,
                                                 monkeypatch):
     # after one call at 30 cm, calls at other heights solve only the rows
     # past the near-surface stretch they share with it
-    import scipy.linalg.lapack
-
-    solve = scipy.linalg.lapack.dtbtrs
-    rows = []
-
-    def counting(ab, b, **kwargs):
-        rows[-1] += ab.shape[1]
-        return solve(ab, b, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dtbtrs", counting)
-    for height in (0.30, 0.0148, 0.42):
-        energy = CONSTANTS.energy_au_from_height(height)
-        res = solve_reflection(pc_table, energy)
-        rows.append(0)
-        numerov_reflection(pc_table, energy, res.z_start, res.z_end)
+    rows = [sum(call) for call in _banded_solves(
+        pc_table, (0.30, 0.0148, 0.42), monkeypatch)]
     assert rows[0] > 200_000
     assert max(rows[1:]) <= 0.3 * rows[0], rows
+
+
+def test_blocks_span_step_doublings(pc_table, fresh_marches, monkeypatch):
+    # a block ends only after _BLOCK_CHUNKS chunks, a short chunk or the
+    # end of the march, not where the step doubles: the cold march at 30 cm
+    # solves the same rows in fewer solves (91 when every doubling ended a
+    # block), and so do the later calls (34 and 32)
+    cold, *later = _banded_solves(pc_table, (0.30, 0.0148, 0.42),
+                                  monkeypatch)
+    assert sum(cold) == 211_351
+    assert len(cold) <= 70, len(cold)
+    assert max(len(call) for call in later) <= 15, [len(c) for c in later]
 
 
 def test_record_is_per_points_per_wavelength(pc_table, fresh_marches,

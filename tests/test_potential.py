@@ -723,6 +723,37 @@ def test_taylor_coefficients_match_the_derivatives_and_a_power_law(pc_table):
                        rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("name", [
+    *_mirror_registry(), "pure_c3_table", "pure_c4_table"])
+def test_grid_read_is_the_taylor_read_on_the_grid(request, registry_table,
+                                                  name):
+    # the solver reads badlands Q and its launch series from the table's
+    # kept order-5 Taylor rows on its grid: a table makes them on first use
+    # only, they are taylor() there, and the lower orders taylor() gives
+    # anywhere are their first rows, so every reading of them is the
+    # reading taylor() gives, bit for bit
+    from qrmirror.reflection import badlands_profile, badlands_q
+
+    shared = (request.getfixturevalue(name) if name.startswith("pure_")
+              else registry_table(name))
+    table = PotentialTable(shared.z, shared.V, shared.label)
+    assert "grid_taylor" not in vars(table)
+    read = table.grid_taylor
+    assert table.grid_taylor is read and not read.flags.writeable
+    assert np.array_equal(read, table.taylor(table.z, 5))
+    t = np.log(table.z)
+    rng = np.random.default_rng(0)
+    for z in (table.z, np.exp(0.5 * (t[1:] + t[:-1])),
+              np.exp(rng.uniform(t[0], t[-1], 2_000))):
+        full = table.taylor(z, 5)
+        for order in range(5):
+            assert np.array_equal(table.taylor(z, order), full[:order + 1])
+    for height in (1e-7, 0.30):
+        energy = CONSTANTS.energy_au_from_height(height)
+        assert np.array_equal(badlands_profile(table, energy).q,
+                              badlands_q(table, energy, table.z))
+
+
 @pytest.mark.parametrize("make", [lambda: PotentialTable.from_power_law(
     0.25, 3.0, 1e-8, 1e7, 480), PotentialTable.null], ids=["c3", "null"])
 def test_both_paths_raise_outside_the_table(make):

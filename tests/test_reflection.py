@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from scipy.special import hankel1
 
 from qrmirror import reflection
 from qrmirror.constants import CONSTANTS
+from qrmirror.lifetimes import scattering_length
 from qrmirror.numerov import numerov_reflection
 from qrmirror.potential import PotentialTable
 from qrmirror.reflection import (
@@ -265,16 +268,77 @@ def test_launch_matches_the_exact_c3_absorbing_wave(pure_c3_table,
     v, vp = pure_c3_table.derivatives_scalar(z)
     p = math.sqrt(2.0 * _M * (E_1E7 - v))
     exact = (1j * p + y) / (1j * p - y)
-    (sigma,), (dropped,) = _wkb_launch(pure_c3_table, E_1E7, np.array([z]))
+    zs = np.array([z])
+    taylor = pure_c3_table.taylor(zs, 5)
+    (sigma,), (dropped,) = _wkb_launch(E_1E7, zs, taylor)
     assert abs(sigma - exact) <= 1.5 * dropped + 1e-15
     q = badlands_q(pure_c3_table, E_1E7, z)
     beta = -_M * vp / (2.0 * p**3)
     first_order = -beta / (2j + beta)
     assert abs(first_order - exact) == pytest.approx(abs(q) / 4.0, rel=0.01)
     monkeypatch.setattr(reflection, "_WKB_ORDER", 2)
-    (second_order,), _ = _wkb_launch(pure_c3_table, E_1E7, np.array([z]))
+    (second_order,), _ = _wkb_launch(E_1E7, zs, taylor)
     closed = (0.5j * q - beta) / (2j - 0.5j * q + beta)
     assert abs(second_order - closed) <= 1e-15
+
+
+def _comm(a, b):
+    """[a, b] of traceless 2x2 matrices, rows (u, x, y) of [[u, x], [y, -u]]."""
+    (u1, x1, y1), (u2, x2, y2) = a, b
+    return np.stack((x1 * y2 - x2 * y1, 2.0 * (u1 * x2 - u2 * x1),
+                     2.0 * (u2 * y1 - u1 * y2)))
+
+
+def _transfer_by_commutators(table, energy, edges, phi0):
+    """``reflection._transfer`` with the Magnus exponent in its commutator
+    form on all three entries (u, x, y) of each matrix, A's zero diagonal
+    included (Blanes, Casas & Ros, BIT 40, 434, 2000)."""
+    left, h = edges[:-1, None], np.diff(edges)[:, None]
+    nodes = left + h * reflection._GAUSS3
+    span = h * np.append(reflection._GAUSS3, 1.0)
+    zq = left[..., None] + 0.5 * span[..., None] * (1.0 + reflection._GL6_X)
+    p = np.sqrt(2.0 * _M * (energy - table.potential(zq)))
+    part = 0.5 * span * (p @ reflection._GL6_W)
+    phi = phi0 + np.cumsum(part[:, 3])
+    phase = np.exp(-2j * (np.append(phi0, phi[:-1])[:, None] + part[:, :3]))
+    v, zv = table.taylor(nodes, 1)
+    hg = h * zv / (-4.0 * nodes * (energy - v))
+    ha = hg * np.stack((np.zeros_like(phase), phase, phase.conjugate()))
+    a1 = ha[..., 1]
+    a2 = math.sqrt(5.0 / 3.0) * (ha[..., 2] - ha[..., 0])
+    a3 = 10.0 / 3.0 * (ha[..., 2] - 2.0 * ha[..., 1] + ha[..., 0])
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
+    u, ox, oy = a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+    s = np.sqrt(u * u + ox * oy)
+    ch, sh = np.cosh(s), np.sinc(1j * s / math.pi)
+    return ((ch + sh * u).tolist(), (sh * ox).tolist(), (sh * oy).tolist(),
+            (ch - sh * u).tolist(), phi.tolist())
+
+
+@pytest.mark.parametrize("name", ["pc_table", "silica_table",
+                                  "graphene_table", "pure_c4_table"])
+@pytest.mark.parametrize("height_m", [0.30, 1e-7])
+def test_magnus_exponent_on_the_off_diagonal_is_the_commutator_form(
+        request, monkeypatch, name, height_m):
+    # the transfer matrices carry A's zero diagonal nowhere; on every block
+    # of up to _BLOCK panels of a solve their four entries and phi are those
+    # of the commutator form with the zeros in, bit for bit
+    table = request.getfixturevalue(name)
+    energy = CONSTANTS.energy_au_from_height(height_m)
+    transfer = reflection._transfer
+    blocks = []
+
+    def recording(table, energy, edges, phi0):
+        blocks.append((edges, phi0))
+        return transfer(table, energy, edges, phi0)
+
+    monkeypatch.setattr(reflection, "_transfer", recording)
+    solve_reflection(table, energy)
+    assert len(blocks) > 1
+    for edges, phi0 in blocks:
+        assert (transfer(table, energy, edges, phi0)
+                == _transfer_by_commutators(table, energy, edges, phi0))
 
 
 def test_solver_is_deterministic(pc_table):
@@ -372,6 +436,43 @@ def test_concurrent_solves_share_table(pc_table):
     for seq, thr in zip(sequential, threaded):
         assert seq.r == thr.r
         assert seq.steps == thr.steps
+
+
+def test_threads_share_a_fresh_table(pc_table):
+    # three threads start at once on a table that has no grid read yet, so
+    # any of them may make it; with a short switch interval each solve and
+    # zero-energy scattering length must equal the sequential one
+    def fresh():
+        return PotentialTable(pc_table.z, pc_table.V, pc_table.label)
+
+    def work(table, height):
+        energy = CONSTANTS.energy_au_from_height(height)
+        return solve_reflection(table, energy), scattering_length(table)
+
+    heights = (0.30, 1e-7, 0.42)
+    alone = fresh()
+    sequential = {h: work(alone, h) for h in heights}
+    shared = fresh()
+    assert "grid_taylor" not in vars(shared)
+    start = threading.Barrier(len(heights))
+    results = {}
+
+    def run(height):
+        start.wait(timeout=60)
+        results[height] = work(shared, height)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(h,)) for h in heights]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == sequential
 
 
 def test_sweep_csv_columns(pc_table, tmp_path):
