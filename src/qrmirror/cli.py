@@ -103,13 +103,7 @@ def _merge_settings(args) -> None:
             setattr(args, key, cfg.get(key, default))
 
 
-def _material_path(name: str) -> Path:
-    """A file if one exists at ``name``, else the shipped material ``name``."""
-    return Path(name) if Path(name).is_file() else builtin_material_path(name)
-
-
-def _resolve_mirror(args) -> MirrorSpec:
-    name, slab_nm, porosity = args.mirror, args.slab_nm, args.porosity
+def _resolve_mirror(name, slab_nm, porosity) -> MirrorSpec:
     if not name:
         raise UsageError("no mirror selected (use --mirror)")
     if slab_nm is not None and porosity is not None:
@@ -122,7 +116,8 @@ def _resolve_mirror(args) -> MirrorSpec:
     if name == "vacuum":
         raise UsageError("vacuum is not a mirror")
 
-    path = _material_path(name)
+    # a file if one exists at ``name``, else the shipped material ``name``
+    path = Path(name) if Path(name).is_file() else builtin_material_path(name)
     if material_file_kind(path) == "perfect_conductor":
         if slab_nm is not None or porosity is not None:
             raise UsageError("perfect conductor takes no slab/porosity modifier")
@@ -179,18 +174,16 @@ def _cmd_material(args) -> int:
         for n in sorted(names):
             print(n)
         return 0
-    name = args.name
-    if name is None:
+    if args.name is None:
         raise UsageError("material show needs a name")
-    if name == "graphene":
-        sheet = graphene_sheet()
-        print("graphene: conducting sheet, eta =", f"{sheet.eta:.6g}")
+    mirror = _resolve_mirror(args.name, slab_nm=None, porosity=None)
+    if mirror.kind == "sheet":
+        print("graphene: conducting sheet, eta =", f"{mirror.sheet.eta:.6g}")
         return 0
-    path = _material_path(name)
-    if material_file_kind(path) == "perfect_conductor":
+    if mirror.kind == "perfect_conductor":
         print("perfect_conductor: ideal mirror (r_TM = 1, r_TE = -1)")
         return 0
-    model = load_material_file(path)
+    model = mirror.dielectric
     print(f"{model.name}: {len(model.oscillators)} oscillator(s)")
     print(f"  static epsilon = {model.static_epsilon:.4f}")
     lam = model.wavelength_au
@@ -202,7 +195,7 @@ def _cmd_material(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    mirror = _resolve_mirror(args)
+    mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
     table = _table(args, mirror)
     _emit(args, f"potential_{_mirror_slug(mirror)}", reporting.potential_table_csv,
           reporting.potential_table_json, table)
@@ -210,7 +203,7 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    mirror = _resolve_mirror(args)
+    mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
     heights = _heights_m(args)
     table = _table(args, mirror)
     points = reflection_sweep(table, heights)
@@ -224,7 +217,7 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_badlands(args) -> int:
-    mirror = _resolve_mirror(args)
+    mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
     heights = _heights_m(args)
     keys = [f"{h:g}" for h in heights]   # the report's column and peak keys
     if len(set(keys)) < len(keys):
@@ -244,7 +237,7 @@ def _cmd_badlands(args) -> int:
 
 
 def _cmd_lifetime(args) -> int:
-    mirror = _resolve_mirror(args)
+    mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
     table = _table(args, mirror)
     lt = lifetime_for_table(table)
     rows = [(mirror.label, mirror.porosity, abs(lt.scattering.im_a_nm),

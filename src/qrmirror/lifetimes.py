@@ -21,11 +21,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONSTANTS
 from .potential import PotentialTable
-from .reflection import _EDGE_TOL, _R_TOL, _panels, _wkb_launch
+from .reflection import _EDGE_TOL, _R_TOL, _launch, _march
 
 _M = CONSTANTS.mass_au
 # a is read at these two panel edges (a0).  Far out at E = 0 the WKB
@@ -73,9 +71,9 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
     """a from one E = 0 solve, read at _READ_OUTS_A0.
 
     The solve launches at the last grid point up to which the fourth-order
-    WKB incoming wave is exact to _EDGE_TOL/4, as ``solve_reflection``
-    does, and multiplies the launch state by the transfer matrices of
-    ``reflection._panels``: one stretch up to the first read-out, then a
+    WKB incoming wave is exact to _EDGE_TOL/4 (``reflection._launch``) and
+    marches out from there as ``solve_reflection`` does
+    (``reflection._march``): one stretch up to the first read-out, then a
     decade.  At each read-out a = z - psi/psi', with psi' = i p (c+ e^{i phi}
     - c- e^{-i phi})/sqrt(p).  On a -C4/z^4 tail a - a_inf = 2 m C4/z + ...,
     real, so one 1/z step between the read-outs gives Re a; Im a is that of
@@ -91,18 +89,13 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
         raise ExtractionError(
             f"{table.label}: the table [{table.z_min:g}, {table.z_max:g}] a0 "
             f"does not hold the read-outs of a at {z1:g} and {z2:g} a0")
-    sigma, dropped = _wkb_launch(0.0, grid, table.grid_taylor[:, :grid.size])
-    i = np.count_nonzero(np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL) - 1
+    i, sigma = _launch(0.0, grid, table.grid_taylor[:, :grid.size])
     if i < 0:
         raise ExtractionError(
             f"{table.label}: the zero-energy WKB wave is not exact to "
             f"{0.25 * _EDGE_TOL:g} at the near edge z = {table.z_min:g} a0")
-    # launch state and phi = 0 there as in solve_reflection
-    cm = 1.0 / math.sqrt(1.0 - abs(sigma[i]) ** 2)
-    cp = sigma[i] * cm
     reads = []
-    for z, a, b, c, d, phi in _panels(table, 0.0, float(grid[i]), z1):
-        cp, cm = a * cp + b * cm, c * cp + d * cm
+    for z, cp, cm, phi in _march(table, 0.0, float(grid[i]), sigma[i], z1):
         if z == z1 or z == z2:
             w = cp * cmath.exp(2j * phi)
             p = math.sqrt(-2.0 * _M * table.potential(z))

@@ -44,6 +44,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
+from .reflection import _check_energy
 
 _M = CONSTANTS.mass_au
 _GL16_X, _GL16_W = leggauss(16)
@@ -95,8 +96,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         raise ImportError("numerov_reflection needs scipy, in the 'test' "
                           "extra: pip install 'qrmirror[test]'") from exc
 
-    if not 0 < energy_au < math.inf:
-        raise ValueError(f"energy must be positive and finite, got {energy_au}")
+    _check_energy(energy_au)
     if not table.z_min <= z_start < z_end <= table.z_max:
         raise ValueError("integration window outside the table")
 

@@ -510,15 +510,15 @@ class PotentialTable:
     of a natural cubic spline of ln|V| against t, fitted once.  The scalar
     path (``derivatives_scalar``: (V, V') at one z, for a scalar
     ``potential`` and Numerov's chunk ends) and the array paths
-    (``potential``, and ``taylor``, which ``derivatives`` and the amplitude
-    solver read) take segment int((t - t0)/dt) clipped to [0, n-2]; they
-    differ by rounding alone.  Grid read (``grid_taylor``): ``taylor`` on
-    the table's own z to order 5, made on first use and kept, since the
-    solver's badlands Q and launch series there do not depend on the
-    energy.  Range: z outside [z_min, z_max], with 1e-12 slack in ln z,
-    raises ValueError; nothing is extrapolated.  V < 0 and strictly
-    increasing toward zero for every physical mirror; the all-zero table is
-    the free-space degenerate case used by tests.
+    (``potential``, and ``taylor``, which the amplitude solver reads) take
+    segment int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding
+    alone.  Grid read (``grid_taylor``): ``taylor`` on the table's own z
+    to order 5, made on first use and kept, since the solver's badlands Q
+    and launch series there do not depend on the energy.  Range: z outside
+    [z_min, z_max], with 1e-12 slack in ln z, raises ValueError; nothing is
+    extrapolated.  V < 0 and strictly increasing toward zero for every
+    physical mirror; the all-zero table is the free-space degenerate case
+    used by tests.
     """
 
     def __init__(self, z_au, v_au, label: str = ""):
@@ -576,8 +576,8 @@ class PotentialTable:
         return -np.exp(((c0 * s + c1) * s + c2) * s + c3)
 
     def derivatives_scalar(self, z: float) -> tuple[float, float]:
-        """(V, V') at a single z: the first two of ``derivatives`` in plain
-        floats."""
+        """(V, V') at a single z in plain floats: a_0 and a_1/z of
+        ``taylor``."""
         t = math.log(z)
         if not self._t_lo <= t <= self._t_hi:
             raise ValueError(f"z = {z:g} outside table range")
@@ -594,12 +594,6 @@ class PotentialTable:
         wp = (3.0 * c0 * s + 2.0 * c1) * s + c2
         v = -math.exp(w)
         return v, v * wp / z
-
-    def derivatives(self, z_au):
-        """(V, V', V'') on an array of z: a_0, a_1/z, 2 a_2/z^2 (``taylor``)."""
-        z = np.asarray(z_au, dtype=float)
-        a0, a1, a2 = self.taylor(z, 2)
-        return a0, a1 / z, 2.0 * a2 / (z * z)
 
     def taylor(self, z_au, order: int):
         """Coefficients a_k = z^k V^(k)(z) / k!, k = 0..order, of

@@ -129,42 +129,51 @@ def _wkb_bounds(table: PotentialTable,
                 energy_au: float) -> tuple[float, float, complex, float]:
     """(z_start, z_launch, sigma, z_end_min): the WKB-exact endpoints, where
     |Q| is below _EDGE_TOL on both flanks, the launch point and the launch
-    state sigma there (see _wkb_launch).
+    state sigma there (see _launch).
 
     Uses prefix/suffix running maxima of |Q| so an accidental zero crossing
     inside the badlands cannot be mistaken for the WKB-exact region.  The
-    launch point is z_m, the last grid point before the peak up to which the
-    running maximum of |y_{N+1}|/2p, the term the order-N launch drops,
-    stays within _EDGE_TOL/4, the error of a first-order launch at z_start;
-    or z_start, if that lies further out.  Both read V from the table's
-    Taylor rows on its grid (``grid_taylor``), which no energy changes.
+    launch point is z_m (``_launch`` on the grid up to the peak), or
+    z_start, if that lies further out.  Both read V from the table's Taylor
+    rows on its grid (``grid_taylor``), which no energy changes.
     """
     rows = table.grid_taylor
     q = np.abs(_badlands(energy_au, table.z, rows))
     i_peak = int(np.argmax(q))
-    prefix_ok = np.maximum.accumulate(q) <= _EDGE_TOL
-    start_candidates = np.nonzero(prefix_ok[: i_peak + 1])[0]
-    if start_candidates.size == 0:
+    i_start = _last_within(q[: i_peak + 1], _EDGE_TOL)
+    if i_start < 0:
         raise SolveError(
             f"no WKB-exact region below the badlands peak: |Q| >= "
             f"{q[0]:.2e} at the near edge of the table (need {_EDGE_TOL:g})"
         )
-    suffix_ok = (np.maximum.accumulate(q[::-1]) <= _EDGE_TOL)[::-1]
-    end_candidates = np.nonzero(suffix_ok)[0]
-    end_candidates = end_candidates[end_candidates > i_peak]
-    if end_candidates.size == 0:
+    beyond = _last_within(q[:i_peak:-1], _EDGE_TOL)
+    if beyond < 0:
         raise SolveError(
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
             f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
-    sigma, dropped = _wkb_launch(energy_au, table.z[: i_peak + 1],
-                                 rows[:, : i_peak + 1])
-    launch_candidates = np.nonzero(
-        np.maximum.accumulate(dropped) <= 0.25 * _EDGE_TOL)[0]
-    i_m = launch_candidates[-1] if launch_candidates.size else 0
-    i_launch = max(start_candidates[-1], i_m)
-    return (float(table.z[start_candidates[-1]]), float(table.z[i_launch]),
-            complex(sigma[i_launch]), float(table.z[end_candidates[0]]))
+    i_m, sigma = _launch(energy_au, table.z[: i_peak + 1],
+                         rows[:, : i_peak + 1])
+    i_launch = max(i_start, i_m)
+    return (float(table.z[i_start]), float(table.z[i_launch]),
+            complex(sigma[i_launch]), float(table.z[q.size - 1 - beyond]))
+
+
+def _last_within(values: np.ndarray, bound: float) -> int:
+    """The last index up to which the running maximum of ``values`` stays
+    within ``bound``, or -1 if none: a running maximum is monotone, so the
+    points within form a prefix."""
+    return int(np.count_nonzero(np.maximum.accumulate(values) <= bound)) - 1
+
+
+def _launch(energy_au: float, z, a) -> tuple[int, np.ndarray]:
+    """(i, sigma): sigma of ``_wkb_launch`` on all of z, and the launch
+    point z_m = z[i], the last point up to which the running maximum of the
+    dropped term |y_{N+1}|/2p stays within _EDGE_TOL/4, the error of a
+    first-order launch at z_start; i = -1 if there is none.  Up to z_m the
+    launch is as exact as one at z_start, so a solve need not start lower."""
+    sigma, dropped = _wkb_launch(energy_au, z, a)
+    return _last_within(dropped, 0.25 * _EDGE_TOL), sigma
 
 
 def _wkb_launch(energy_au: float, z, a) -> tuple[np.ndarray, np.ndarray]:
@@ -268,11 +277,17 @@ def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
             (ch - sh * u).tolist(), phi.tolist())
 
 
-def _panels(table: PotentialTable, energy_au: float, z: float,
-            z_end_min: float):
-    """(right edge, transfer matrix entries, phi there) of each panel from z
-    outward: up to z_end_min, then a decade of z at a time up to the table
-    end.
+def _march(table: PotentialTable, energy_au: float, z: float,
+           sigma: complex, z_end_min: float):
+    """(right edge, c+, c-, phi there) after each panel from the launch
+    point z outward: up to z_end_min, then a decade of z at a time up to
+    the table end.
+
+    The launch state is the order-_WKB_ORDER WKB incoming wave c+ = sigma
+    c- (see _launch), normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0:
+    c+ -> 0 only as z -> 0, the full absorption at the surface.  phi starts
+    at 0 there: the launch would carry e^{-2i phi} of any other origin.
+    Each panel multiplies the state by its transfer matrix (``_transfer``).
 
     A panel is at most _PHASE_STEP_FRAC pi hbar/p and _Z_STEP_FRAC z wide:
     the panel density on t = ln z, max(p z/(_PHASE_STEP_FRAC pi),
@@ -283,6 +298,8 @@ def _panels(table: PotentialTable, energy_au: float, z: float,
     SolveError, raised before they are allocated; ``_transfer`` sees at
     most _BLOCK panels at a time, which bounds its memory.
     """
+    cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
+    cp = sigma * cm
     z_next, laid, phi = z_end_min, 0, 0.0
     while z < table.z_max:
         zt = np.concatenate(([z], table.z[(table.z > z) & (table.z < z_next)],
@@ -303,7 +320,10 @@ def _panels(table: PotentialTable, energy_au: float, z: float,
             block = edges[i:i + _BLOCK + 1]
             *matrix, phis = _transfer(table, energy_au, block, phi)
             phi = phis[-1]
-            yield from zip(block[1:].tolist(), *matrix, phis)
+            for edge, a, b, c, d, phi_edge in zip(block[1:].tolist(), *matrix,
+                                                  phis):
+                cp, cm = a * cp + b * cm, c * cp + d * cm
+                yield edge, cp, cm, phi_edge
         z, z_next = z_next, min(10.0 * z_next, table.z_max)
 
 
@@ -313,39 +333,21 @@ _CHECKPOINT_RATIO = 10.0 ** 0.125
 def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResult:
     """Propagate the coupled amplitude equations outward and return r.
 
-    Starts from the launch point z_m (or z_start, if that lies further out)
-    in the absorbing state (purely incoming flux, the finite-z form of
-    c+(0) = 0; see the launch comment below), multiplies it by the panels'
-    transfer matrices (``_panels``) and stops at the first checkpoint past
+    Marches the absorbing state (purely incoming flux, the finite-z form of
+    c+(0) = 0) out from the launch point z_m, or z_start if that lies
+    further out (``_march``), and stops at the first checkpoint past
     z_end_min where r has stopped changing (relative change below _R_TOL
     across the trailing decade of z).
     """
     _check_energy(energy_au)
-    if table.is_null:
-        return ReflectionResult(r=0.0j, probability=0.0, loss=1.0,
-                                energy_au=energy_au, z_start=table.z_min,
-                                z_end=table.z_max, flux_drift=0.0,
-                                steps=0, rejected=0)
-
     z_start, z, sigma, z_end_min = _wkb_bounds(table, energy_au)
     z_hard_end = table.z_max
-
-    # Launch state: the order-_WKB_ORDER WKB incoming wave (see _wkb_launch),
-    # normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0: c+ -> 0 only as
-    # z -> 0, the full absorption at the surface.  Its error |y_{N+1}|/2p
-    # stays within _EDGE_TOL/4 up to z_m, so the solve does not start at
-    # z_start.  phi starts at 0 there: the launch would carry e^{-2i phi}
-    # of any other origin, and r e^{2i phi(z_end_min)} below cancels it.
-    cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
-    cp = sigma * cm
-
     flux_drift = 0.0
     steps = 0
     next_checkpoint = z * _CHECKPOINT_RATIO
     history: list[tuple[float, complex]] = []
 
-    for z, a, b, c, d, phi in _panels(table, energy_au, z, z_end_min):
-        cp, cm = a * cp + b * cm, c * cp + d * cm
+    for z, cp, cm, phi in _march(table, energy_au, z, sigma, z_end_min):
         steps += 1
         if z == z_end_min:
             phi_end_min = phi
@@ -376,7 +378,7 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
         )
     # phase reference z0 = the Q-selected z_end_min, not z_end: far out each
     # panel advances 2 phi by about pi/4, so r referenced to z_end would
-    # turn with the panel count
+    # turn with the panel count; e^{2i phi(z0)} also cancels phi's origin
     r = (cp / cm) * cmath.exp(2j * phi_end_min)
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,

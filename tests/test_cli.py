@@ -59,10 +59,16 @@ def test_unknown_material_exits_2(run_main):
     assert cp.returncode == 2
 
 
-def test_vacuum_mirror_rejected(run_main):
-    cp = run_main("potential", "--mirror", "vacuum")
-    assert cp.returncode == 2
-    assert "not a mirror" in cp.stderr
+def test_vacuum_mirror_rejected(run_main, tmp_path):
+    # by name, and as a material file without oscillators, which `material
+    # show` once crashed on (exit 1) while printing its wavelength
+    (tmp_path / "vac.mat").write_text("name = vac\n")
+    for argv in (["potential", "--mirror", "vacuum"],
+                 ["potential", "--mirror", "vac.mat"],
+                 ["material", "show", "vac.mat"]):
+        cp = run_main(*argv)
+        assert cp.returncode == 2
+        assert cp.stderr == "error: vacuum is not a mirror\n"
 
 
 def test_zero_height_rejected(run_main):

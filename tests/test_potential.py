@@ -535,8 +535,8 @@ def test_slab_far_exponent_is_five(slab_table):
     d_au = 5.0 / CONSTANTS.bohr_nm
     lam = load_builtin("silica").wavelength_au
     z_test = 30.0 * max(d_au, lam)
-    v, vp, _ = slab_table.derivatives(z_test)
-    assert abs(-z_test * vp / v - 5.0) < 0.05
+    v, zvp, _ = slab_table.taylor(z_test, 2)     # V, z V', z^2 V''/2
+    assert abs(-zvp / v - 5.0) < 0.05
     assert slab_table.c5 is not None
     assert slab_table.c4 is None
 
@@ -656,8 +656,8 @@ def test_null_table():
     tab = PotentialTable.null()
     assert tab.is_null
     assert tab.potential(3.3) == 0.0
-    v, vp, vpp = tab.derivatives(np.array([1.0, 10.0]))
-    assert np.all(v == 0) and np.all(vp == 0) and np.all(vpp == 0)
+    v, zvp, z2vpp = tab.taylor(np.array([1.0, 10.0]), 2)
+    assert np.all(v == 0) and np.all(zvp == 0) and np.all(z2vpp == 0)
 
 
 def test_csv_export_columns(pc_default_table, tmp_path):
@@ -699,7 +699,8 @@ def test_scalar_and_array_paths_agree(pc_table):
     rng = np.random.default_rng(0)
     z = np.concatenate([pc_table.z, np.exp(0.5 * (t[1:] + t[:-1])),
                         np.exp(rng.uniform(t[0], t[-1], 20_000))])
-    array = pc_table.derivatives(z)
+    a0, a1, _ = pc_table.taylor(z, 2)
+    array = (a0, a1 / z)
     scalar = np.array([pc_table.derivatives_scalar(zi) for zi in z]).T
     for a, s in zip(array[:2], scalar, strict=True):
         assert np.max(np.abs(s - a) / np.abs(a)) <= 1e-15
@@ -713,7 +714,8 @@ def test_taylor_coefficients_match_the_derivatives_and_a_power_law(pc_table):
     # are those of V (1 + u)^-3, V binom(-3, k), up to the rounding of the
     # spline fit (its cubic terms reach about 4e-11, not 0)
     z = np.geomspace(1e-8, 1e3, 50)
-    v, vp, vpp = pc_table.derivatives(z)
+    a0, a1, a2 = pc_table.taylor(z, 2)
+    v, vp, vpp = a0, a1 / z, 2.0 * a2 / (z * z)
     assert np.allclose(pc_table.taylor(z, 5)[:3],
                        [v, z * vp, 0.5 * z * z * vpp], rtol=1e-13, atol=0)
     c3 = PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
@@ -767,10 +769,10 @@ def test_both_paths_raise_outside_the_table(make):
         with pytest.raises(ValueError, match="outside table range"):
             tab.potential(np.array([tab.z_min, z]))
         with pytest.raises(ValueError, match="outside table range"):
-            tab.derivatives(np.array([z, tab.z_max]))
+            tab.taylor(np.array([z, tab.z_max]), 2)
     # the ends themselves are inside
     ends = np.array([tab.z_min, tab.z_max])
-    assert np.array_equal(tab.potential(ends), tab.derivatives(ends)[0])
+    assert np.array_equal(tab.potential(ends), tab.taylor(ends, 2)[0])
     assert np.allclose([tab.derivatives_scalar(z)[0] for z in ends],
                        tab.potential(ends), rtol=1e-15, atol=0)
 
@@ -783,4 +785,4 @@ def test_array_paths_raise_for_non_positive_z_without_a_warning(z):
         with pytest.raises(ValueError, match="outside table range"):
             tab.potential(np.array([z, 1.0]))
         with pytest.raises(ValueError, match="outside table range"):
-            tab.derivatives(np.array([1.0, z]))
+            tab.taylor(np.array([1.0, z]), 2)

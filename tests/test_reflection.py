@@ -209,9 +209,15 @@ def test_energy_must_be_positive_and_finite(pure_c3_table, call, energy):
 
 
 def test_null_table_reflects_nothing():
-    res = solve_reflection(PotentialTable.null(), E30)
-    assert res.r == 0.0
-    assert res.probability == 0.0
+    # V = 0: Q = 0 and every transfer matrix is the identity, so the general
+    # solve keeps the launch state c+ = 0 exactly, without a warning
+    table = PotentialTable.null()
+    for height in (1e-7, 0.3, 300.0):
+        res = solve_reflection(table, CONSTANTS.energy_au_from_height(height))
+        assert res.r == 0.0
+        assert res.probability == 0.0
+        assert res.flux_drift == 0.0
+        assert res.z_start == table.z_min
 
 
 def test_wkb_endpoints_have_small_badlands(pc_table):
