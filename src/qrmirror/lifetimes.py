@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS
 from .potential import PotentialTable
-from .reflection import _EDGE_TOL, _R_TOL, _launch, _march
+from .reflection import _EDGE_TOL, _march, _wkb_ends
 
 _M = CONSTANTS.mass_au
 # a is read at these two panel edges (a0).  Far out at E = 0 the WKB
@@ -31,6 +31,8 @@ _M = CONSTANTS.mass_au
 # moves a by at most 2.1e-6 of |a| read at 1e6 a0, by up to about 4e-4 at
 # 1e7 a0.
 _READ_OUTS_A0 = (1e5, 1e6)
+# the largest relative change of |Im a| between the read-outs
+_R_TOL = 1e-4
 
 
 class ExtractionError(RuntimeError):
@@ -71,14 +73,15 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
     """a from one E = 0 solve, read at _READ_OUTS_A0.
 
     The solve launches at the last grid point up to which the fourth-order
-    WKB incoming wave is exact to _EDGE_TOL/4 (``reflection._launch``) and
-    marches out from there as ``solve_reflection`` does
-    (``reflection._march``): one stretch up to the first read-out, then a
-    decade.  At each read-out a = z - psi/psi', with psi' = i p (c+ e^{i phi}
-    - c- e^{-i phi})/sqrt(p).  On a -C4/z^4 tail a - a_inf = 2 m C4/z + ...,
-    real, so one 1/z step between the read-outs gives Re a; Im a is that of
-    the last read-out.  A table that ends before the read-outs, or on which
-    |Im a| changes by more than _R_TOL between them, raises ExtractionError.
+    WKB incoming wave is exact to _EDGE_TOL/4 (``reflection._wkb_ends`` on
+    the grid below the first read-out) and marches out from there as
+    ``solve_reflection`` does (``reflection._march``), with the read-outs
+    as its stops.  At each read-out a = z - psi/psi', with
+    psi' = i p (c+ e^{i phi} - c- e^{-i phi})/sqrt(p).  On a -C4/z^4 tail
+    a - a_inf = 2 m C4/z + ..., real, so one 1/z step between the read-outs
+    gives Re a; Im a is that of the last read-out.  A table that ends
+    before the read-outs, or on which |Im a| changes by more than _R_TOL
+    between them, raises ExtractionError.
     """
     if table.is_null:
         return ScatteringLength(a=0.0j, source_energies_au=(0.0,),
@@ -89,19 +92,18 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
         raise ExtractionError(
             f"{table.label}: the table [{table.z_min:g}, {table.z_max:g}] a0 "
             f"does not hold the read-outs of a at {z1:g} and {z2:g} a0")
-    i, sigma = _launch(0.0, grid, table.grid_taylor[:, :grid.size])
+    i, _, sigma = _wkb_ends(0.0, grid, table.grid_taylor[:, :grid.size],
+                            grid.size - 1)
     if i < 0:
         raise ExtractionError(
             f"{table.label}: the zero-energy WKB wave is not exact to "
             f"{0.25 * _EDGE_TOL:g} at the near edge z = {table.z_min:g} a0")
     reads = []
-    for z, cp, cm, phi in _march(table, 0.0, float(grid[i]), sigma[i], z1):
-        if z == z1 or z == z2:
-            w = cp * cmath.exp(2j * phi)
-            p = math.sqrt(-2.0 * _M * table.potential(z))
-            reads.append(z - (w + cm) / (1j * p * (w - cm)))
-            if z == z2:
-                break
+    for z, cp, cm, phi, _ in _march(table, 0.0, float(grid[i]), sigma[i],
+                                    _READ_OUTS_A0):
+        w = cp * cmath.exp(2j * phi)
+        p = math.sqrt(-2.0 * _M * table.potential(z))
+        reads.append(z - (w + cm) / (1j * p * (w - cm)))
     a1, a2 = reads
     e1, e2 = -a1.imag, -a2.imag
     deviation = abs(e1 - e2) / max(abs(e1), abs(e2))

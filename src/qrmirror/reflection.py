@@ -25,12 +25,16 @@ surface and far away.  Between z_start and about 1 a0 no reflection
 happens, only WKB oscillations, so the solve does not lay panels over
 them: it starts at the launch point z_m, the last grid point before the
 badlands peak up to which the fourth-order WKB incoming wave is exact to
-_EDGE_TOL/4, with phi = 0 there.  r does not depend on phi's origin, and
-it is referenced to z0 = z_end_min, so it does not depend on where the
-solve happens to stop either.  Attractive potentials have no classical
-turning point, so no tunneling machinery is needed; the gravity field
-itself is not part of the solver potential (E is the fixed incident
-energy from the free fall).
+_EDGE_TOL/4, with phi = 0 there.  By the same rule it lands at z_l, the
+first grid point beyond the peak from which on the fourth-order waves are
+that exact, splits the state there into the incoming wave and the
+outgoing one, its complex conjugate, and reads r as the ratio of their
+amplitudes; z_l is z_end_min where that lies further out.  r does not
+depend on phi's origin, and it is referenced to z0 = z_end_min, so it
+does not depend on where the solve lands either.  Attractive potentials
+have no classical turning point, so no tunneling machinery is needed; the
+gravity field itself is not part of the solver potential (E is the fixed
+incident energy from the free fall).
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ _GAUSS3 = 0.5 + math.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])  # nodes on [0, 1]
 
 # tolerances and panel widths of the amplitude solver
 _EDGE_TOL = 1e-8          # |Q| defining the WKB-exact endpoints
-_R_TOL = 1e-4             # r convergence over the last decade of z
 _FLUX_TOL = 1e-6          # allowed drift of |c-|^2 - |c+|^2
 _PHASE_STEP_FRAC = 0.125  # max panel as fraction of pi hbar / p
 _Z_STEP_FRAC = 0.05       # max panel as fraction of z
@@ -119,61 +122,66 @@ class ReflectionResult:
     loss: float                   # 1 - |r|^2
     energy_au: float
     z_start: float                # near WKB-exact endpoint
-    z_end: float                  # checkpoint where r converged
-    flux_drift: float             # max |(|c-|^2 - |c+|^2) - 1| at checkpoints
+    z_end: float                  # landing point z_l, where r is read
+    flux_drift: float             # max |(|c-|^2 - |c+|^2) - 1| at the stops
     steps: int                    # Magnus panels from the launch to z_end
     rejected: int                 # always 0: panels are never rejected
 
 
 def _wkb_bounds(table: PotentialTable,
-                energy_au: float) -> tuple[float, float, complex, float]:
-    """(z_start, z_launch, sigma, z_end_min): the WKB-exact endpoints, where
-    |Q| is below _EDGE_TOL on both flanks, the launch point and the launch
-    state sigma there (see _launch).
+                energy_au: float) -> tuple[int, int, int, int, np.ndarray]:
+    """(i_start, i_launch, i_end_min, i_land, sigma) on the table's grid:
+    the WKB-exact endpoints z_start and z_end_min, where |Q| is below
+    _EDGE_TOL on either flank of the badlands peak, the launch and landing
+    points, and ``_wkb_launch``'s sigma at every grid point.
 
-    Uses prefix/suffix running maxima of |Q| so an accidental zero crossing
-    inside the badlands cannot be mistaken for the WKB-exact region.  The
-    launch point is z_m (``_launch`` on the grid up to the peak), or
-    z_start, if that lies further out.  Both read V from the table's Taylor
-    rows on its grid (``grid_taylor``), which no energy changes.
+    One rule (``_ends``) picks all four: on |Q| with _EDGE_TOL, and on the
+    order-N wave's dropped term |y_{N+1}|/2p with _EDGE_TOL/4, the error of
+    a first-order wave at a WKB-exact endpoint (``_wkb_ends``).  The
+    order-N waves are that exact up to the launch point z_m, the last such
+    grid point before the peak, and from the landing point z_l on, the
+    first such grid point beyond it; z_start or z_end_min replaces either
+    where it lies further out or where there is none, so a solve lands
+    wherever z_end_min is on the table.  Running maxima keep an accidental
+    zero crossing inside the badlands from passing for the WKB-exact
+    region.  Both read V from the table's Taylor rows on its grid
+    (``grid_taylor``), which no energy changes.
     """
     rows = table.grid_taylor
     q = np.abs(_badlands(energy_au, table.z, rows))
     i_peak = int(np.argmax(q))
-    i_start = _last_within(q[: i_peak + 1], _EDGE_TOL)
+    i_start, i_end_min = _ends(q, i_peak, _EDGE_TOL)
     if i_start < 0:
         raise SolveError(
             f"no WKB-exact region below the badlands peak: |Q| >= "
             f"{q[0]:.2e} at the near edge of the table (need {_EDGE_TOL:g})"
         )
-    beyond = _last_within(q[:i_peak:-1], _EDGE_TOL)
-    if beyond < 0:
+    if i_end_min < 0:
         raise SolveError(
             f"no WKB-exact region beyond the badlands peak: |Q| >= "
             f"{q[-1]:.2e} at the far edge of the table (need {_EDGE_TOL:g})"
         )
-    i_m, sigma = _launch(energy_au, table.z[: i_peak + 1],
-                         rows[:, : i_peak + 1])
-    i_launch = max(i_start, i_m)
-    return (float(table.z[i_start]), float(table.z[i_launch]),
-            complex(sigma[i_launch]), float(table.z[q.size - 1 - beyond]))
+    i_m, i_l, sigma = _wkb_ends(energy_au, table.z, rows, i_peak)
+    return i_start, max(i_start, i_m), i_end_min, max(i_end_min, i_l), sigma
 
 
-def _last_within(values: np.ndarray, bound: float) -> int:
-    """The last index up to which the running maximum of ``values`` stays
-    within ``bound``, or -1 if none: a running maximum is monotone, so the
-    points within form a prefix."""
-    return int(np.count_nonzero(np.maximum.accumulate(values) <= bound)) - 1
-
-
-def _launch(energy_au: float, z, a) -> tuple[int, np.ndarray]:
-    """(i, sigma): sigma of ``_wkb_launch`` on all of z, and the launch
-    point z_m = z[i], the last point up to which the running maximum of the
-    dropped term |y_{N+1}|/2p stays within _EDGE_TOL/4, the error of a
-    first-order launch at z_start; i = -1 if there is none.  Up to z_m the
-    launch is as exact as one at z_start, so a solve need not start lower."""
+def _wkb_ends(energy_au: float, z, a,
+              i_peak: int) -> tuple[int, int, np.ndarray]:
+    """(i_m, i_l, sigma): ``_wkb_launch``'s sigma on z, and the launch and
+    landing points ``_ends`` picks on its dropped term with _EDGE_TOL/4."""
     sigma, dropped = _wkb_launch(energy_au, z, a)
-    return _last_within(dropped, 0.25 * _EDGE_TOL), sigma
+    return (*_ends(dropped, i_peak, 0.25 * _EDGE_TOL), sigma)
+
+
+def _ends(values: np.ndarray, i_peak: int, bound: float) -> tuple[int, int]:
+    """(i, j): the last index up to i_peak up to which the running maximum
+    of ``values`` stays within ``bound``, and the first index past i_peak
+    from which on it does up to the end; -1 for either if there is none.
+    A running maximum is monotone, so the points within form a prefix (a
+    suffix, running from the end)."""
+    near, far = (int(np.count_nonzero(np.maximum.accumulate(v) <= bound))
+                 for v in (values[: i_peak + 1], values[:i_peak:-1]))
+    return near - 1, values.size - far if far else -1
 
 
 def _wkb_launch(energy_au: float, z, a) -> tuple[np.ndarray, np.ndarray]:
@@ -278,30 +286,31 @@ def _transfer(table: PotentialTable, energy_au: float, edges: np.ndarray,
 
 
 def _march(table: PotentialTable, energy_au: float, z: float,
-           sigma: complex, z_end_min: float):
-    """(right edge, c+, c-, phi there) after each panel from the launch
-    point z outward: up to z_end_min, then a decade of z at a time up to
-    the table end.
+           sigma: complex, stops: list[float] | tuple[float, ...]):
+    """(stop, c+, c-, phi, panels) at each of the increasing panel edges
+    ``stops``, marching from the launch point z outward; panels counts
+    those laid from z.
 
     The launch state is the order-_WKB_ORDER WKB incoming wave c+ = sigma
-    c- (see _launch), normalised to |c-|^2 - |c+|^2 = 1.  It is not c+ = 0:
-    c+ -> 0 only as z -> 0, the full absorption at the surface.  phi starts
-    at 0 there: the launch would carry e^{-2i phi} of any other origin.
-    Each panel multiplies the state by its transfer matrix (``_transfer``).
+    c- (see _wkb_bounds), normalised to |c-|^2 - |c+|^2 = 1.  It is not
+    c+ = 0: c+ -> 0 only as z -> 0, the full absorption at the surface.
+    phi starts at 0 there: the launch would carry e^{-2i phi} of any other
+    origin.  Each panel multiplies the state by its transfer matrix
+    (``_transfer``).
 
     A panel is at most _PHASE_STEP_FRAC pi hbar/p and _Z_STEP_FRAC z wide:
     the panel density on t = ln z, max(p z/(_PHASE_STEP_FRAC pi),
     1/_Z_STEP_FRAC), is summed by the trapezoid rule over the ends of a
-    stretch and the table's grid points between them, and the edges sit at
-    equal steps of that sum.  That depends on t - ln z and p z alone, so
-    the layout is scale-free.  More than _MAX_STEPS panels in all is a
-    SolveError, raised before they are allocated; ``_transfer`` sees at
-    most _BLOCK panels at a time, which bounds its memory.
+    stretch between stops and the table's grid points between them, and
+    the edges sit at equal steps of that sum.  That depends on t - ln z and
+    p z alone, so the layout is scale-free.  More than _MAX_STEPS panels in
+    all is a SolveError, raised before they are allocated; ``_transfer``
+    sees at most _BLOCK panels at a time, which bounds its memory.
     """
     cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
     cp = sigma * cm
-    z_next, laid, phi = z_end_min, 0, 0.0
-    while z < table.z_max:
+    laid, phi = 0, 0.0
+    for z_next in stops:
         zt = np.concatenate(([z], table.z[(table.z > z) & (table.z < z_next)],
                              [z_next]))
         t = np.log(zt)
@@ -317,74 +326,59 @@ def _march(table: PotentialTable, energy_au: float, z: float,
         edges = np.exp(np.interp(np.linspace(0.0, total[-1], n + 1), total, t))
         edges[0], edges[-1] = z, z_next
         for i in range(0, n, _BLOCK):
-            block = edges[i:i + _BLOCK + 1]
-            *matrix, phis = _transfer(table, energy_au, block, phi)
+            *matrix, phis = _transfer(table, energy_au,
+                                      edges[i:i + _BLOCK + 1], phi)
             phi = phis[-1]
-            for edge, a, b, c, d, phi_edge in zip(block[1:].tolist(), *matrix,
-                                                  phis):
+            for a, b, c, d in zip(*matrix):
                 cp, cm = a * cp + b * cm, c * cp + d * cm
-                yield edge, cp, cm, phi_edge
-        z, z_next = z_next, min(10.0 * z_next, table.z_max)
+        yield z_next, cp, cm, phi, laid
+        z = z_next
 
 
-_CHECKPOINT_RATIO = 10.0 ** 0.125
+def _land(cp: complex, cm: complex, phi: float, sigma: complex,
+          phi0: float) -> complex:
+    """r from the state (c+, c-) at a landing point with the given phi and
+    incoming wave's sigma (``_wkb_launch``), its phase referenced to the
+    point where phi = phi0.  With w = e^{2i phi}, the order-_WKB_ORDER
+    incoming wave has c+/c- = sigma/w and the outgoing one, its complex
+    conjugate, 1/(conj(sigma) w).  Split into the two, the state has the
+    amplitude ratio (c+ w - sigma c-)/(c- - conj(sigma) w c+)/w; far out
+    (sigma -> 0) that is c+/c-."""
+    w = cmath.exp(2j * phi)
+    return ((cp * w - sigma * cm) / (cm - sigma.conjugate() * w * cp)
+            * cmath.exp(2j * phi0) / w)
 
 
 def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResult:
     """Propagate the coupled amplitude equations outward and return r.
 
     Marches the absorbing state (purely incoming flux, the finite-z form of
-    c+(0) = 0) out from the launch point z_m, or z_start if that lies
-    further out (``_march``), and stops at the first checkpoint past
-    z_end_min where r has stopped changing (relative change below _R_TOL
-    across the trailing decade of z).
+    c+(0) = 0) out from the launch point through z_end_min to the landing
+    point z_l (``_wkb_bounds``, ``_march``) and reads r at z_l (``_land``).
     """
     _check_energy(energy_au)
-    z_start, z, sigma, z_end_min = _wkb_bounds(table, energy_au)
-    z_hard_end = table.z_max
-    flux_drift = 0.0
-    steps = 0
-    next_checkpoint = z * _CHECKPOINT_RATIO
-    history: list[tuple[float, complex]] = []
-
-    for z, cp, cm, phi in _march(table, energy_au, z, sigma, z_end_min):
-        steps += 1
-        if z == z_end_min:
-            phi_end_min = phi
-        # r-convergence bookkeeping on geometric checkpoints
-        if z >= next_checkpoint or z >= z_hard_end:
-            r_now = cp / cm
-            history.append((z, r_now))
-            next_checkpoint = z * _CHECKPOINT_RATIO
-            flux_drift = max(flux_drift,
-                             abs((abs(cm) ** 2 - abs(cp) ** 2) - 1.0))
-            if z >= z_end_min:
-                decade = [rv for zv, rv in history if zv <= z / 10.0]
-                recent = [rv for zv, rv in history if zv > z / 10.0]
-                if decade:
-                    ref = max(abs(r_now), 1e-12)
-                    dev = max(abs(rv - r_now) for rv in (recent + decade[-1:]))
-                    if dev <= _R_TOL * ref:
-                        break
-    else:
-        raise SolveError(
-            f"r did not converge to {_R_TOL:g} before the table end "
-            f"(z = {z:g}); extend the grid"
-        )
+    i_start, i_launch, i_end_min, i_land, sigma = _wkb_bounds(table,
+                                                              energy_au)
+    stops = table.z[sorted({i_end_min, i_land})].tolist()
+    reads = list(_march(table, energy_au, float(table.z[i_launch]),
+                        complex(sigma[i_launch]), stops))
+    flux_drift = max(abs((abs(cm) ** 2 - abs(cp) ** 2) - 1.0)
+                     for _, cp, cm, _, _ in reads)
     if flux_drift > _FLUX_TOL:
         raise SolveError(
             f"flux drift {flux_drift:.2e} exceeds {_FLUX_TOL:g}: "
             f"step control failure"
         )
-    # phase reference z0 = the Q-selected z_end_min, not z_end: far out each
-    # panel advances 2 phi by about pi/4, so r referenced to z_end would
-    # turn with the panel count; e^{2i phi(z0)} also cancels phi's origin
-    r = (cp / cm) * cmath.exp(2j * phi_end_min)
+    # phase reference z0 = the Q-selected z_end_min, not z_l: far out each
+    # panel advances 2 phi by about pi/4, so r referenced to z_l would turn
+    # with the panel count; e^{2i phi(z0)} also cancels phi's origin
+    z_land, cp, cm, phi, steps = reads[-1]
+    r = _land(cp, cm, phi, complex(sigma[i_land]), reads[0][3])
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,
-                            energy_au=energy_au, z_start=z_start,
-                            z_end=z, flux_drift=flux_drift,
-                            steps=steps, rejected=0)
+                            energy_au=energy_au,
+                            z_start=float(table.z[i_start]), z_end=z_land,
+                            flux_drift=flux_drift, steps=steps, rejected=0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import qrmirror
-from qrmirror import cli
+from qrmirror import cli, reflection
 from qrmirror.cli import _mirror_registry
 from qrmirror.potential import PotentialTable, build_solver_table
 
@@ -124,3 +125,26 @@ def pure_c4_table():
 def pure_c3_table():
     """Synthetic -C3/z^3 with the perfect-conductor van der Waals coefficient."""
     return PotentialTable.from_power_law(0.25, 3.0, 1e-8, 1e7, 480)
+
+
+@pytest.fixture(scope="session")
+def landings_beyond():
+    """Callable ``landings_beyond(table, energy)`` -> (r, landed): r of
+    ``solve_reflection`` and, for every grid point z_j in (z_l, 10 z_l], r
+    landed there (``reflection._land``) after a march from the solve's
+    launch with stops (z_end_min, z_j).  Each is referenced to the solve's
+    z_end_min, so each must be the solve's r."""
+    def run(table, energy):
+        _, i_launch, i_end_min, i_land, sigma = reflection._wkb_bounds(
+            table, energy)
+        z = table.z
+        landed = []
+        for j in np.flatnonzero((z > z[i_land]) & (z <= 10.0 * z[i_land])):
+            (*_, phi0, _), (_, cp, cm, phi, _) = reflection._march(
+                table, energy, float(z[i_launch]), complex(sigma[i_launch]),
+                (float(z[i_end_min]), float(z[j])))
+            landed.append(reflection._land(cp, cm, phi, complex(sigma[j]),
+                                           phi0))
+        return reflection.solve_reflection(table, energy).r, landed
+
+    return run

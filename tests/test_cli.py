@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrmirror import cli
+from qrmirror.constants import CONSTANTS
+from qrmirror.reflection import solve_reflection
 
 
 def test_help(run_cli):
@@ -408,18 +410,34 @@ def test_slab_far_thicker_than_the_grid_is_bulk(monkeypatch, tmp_path,
 
 
 def test_numerical_failure_exits_1(run_main):
-    # grids clipped at the far end: at 1e3 a0 the far WKB-exact region is
-    # off-table, at 3e4 a0 r has not converged by the table end.  The solve
-    # of the only point fails, and the solver's message reaches stderr.
-    for z_max, points, message in (("1e3", "200", "WKB-exact region"),
-                                   ("3e4", "300", "did not converge")):
-        cp = run_main("reflect", "--mirror", "perfect_conductor",
-                      "--height-cm", "30", "--z-min-a0", "1e-8",
-                      "--z-max-a0", z_max, "--points", points)
-        assert cp.returncode == 1
-        # the CLI's own message, not a crash that also exits 1
-        assert "numerical failure: h = 0.3 m:" in cp.stderr, cp.stderr
-        assert message in cp.stderr, cp.stderr
+    # a grid clipped at 1e3 a0 ends before the far WKB-exact region: the
+    # solve of the only point fails, and the solver's message reaches stderr
+    cp = run_main("reflect", "--mirror", "perfect_conductor",
+                  "--height-cm", "30", "--z-min-a0", "1e-8",
+                  "--z-max-a0", "1e3", "--points", "200")
+    assert cp.returncode == 1
+    # the CLI's own message, not a crash that also exits 1
+    assert "numerical failure: h = 0.3 m:" in cp.stderr, cp.stderr
+    assert "WKB-exact region" in cp.stderr, cp.stderr
+
+
+@pytest.mark.parametrize("height_cm, z_max, points", [
+    ("30", "3e4", "300"), ("1e-6", "5e6", "300")])
+def test_grid_clipped_past_z_end_min_solves(run_main, tmp_path, pc_table,
+                                            height_cm, z_max, points):
+    # the solve ends where r is read, at the landing point z_l, not where r
+    # stopped changing: at 30 cm a grid clipped at 3e4 a0 holds z_l, and at
+    # 1e-8 m one clipped at 5e6 a0 holds z_end_min but not z_l, so the solve
+    # lands at z_end_min.  P must agree with the solver table's (measured
+    # 1.8e-9 and 2.1e-11 apart)
+    cp = run_main("reflect", "--mirror", "perfect_conductor",
+                  "--height-cm", height_cm, "--z-min-a0", "1e-8",
+                  "--z-max-a0", z_max, "--points", points,
+                  "--format", "json", "--out", "r.json")
+    assert cp.returncode == 0, cp.stderr
+    (row,) = json.loads((tmp_path / "r.json").read_text())["rows"]
+    full = solve_reflection(pc_table, CONSTANTS.energy_au_from_height(row[0]))
+    assert row[2] == pytest.approx(full.probability, abs=1e-7)
 
 
 def test_potential_on_a_window_without_asymptotic_regimes(monkeypatch,

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qrmirror import reflection
+from qrmirror import lifetimes, reflection
 from qrmirror.constants import CONSTANTS
 from qrmirror.lifetimes import (
     _READ_OUTS_A0,
@@ -84,21 +84,41 @@ def test_scattering_length_panels_are_converged(request, monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", _TABLES[:8])
-def test_zero_energy_march_conserves_flux(request, name):
-    # |c-|^2 - |c+|^2 = 1 holds at E = 0 as at any energy: checked at every
-    # panel of the scattering length's march, from its launch to the last
-    # read-out (largest drift 1.8e-7, aerogel)
+def test_zero_energy_march_conserves_flux(request, monkeypatch, name):
+    # |c-|^2 - |c+|^2 = 1 holds at E = 0 as at any energy: checked after
+    # every panel of the march that scattering_length runs, from its launch
+    # to the last read-out, by replaying the transfer matrices it applied
+    # (largest drift 1.8e-7, aerogel)
     table = request.getfixturevalue(name)
-    z1, z2 = _READ_OUTS_A0
-    grid = table.z[table.z < z1]
-    i, sigma = reflection._launch(0.0, grid, table.grid_taylor[:, :grid.size])
-    assert i >= 0
-    for z, cp, cm, _ in reflection._march(table, 0.0, float(grid[i]),
-                                          sigma[i], z1):
-        assert abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0) <= reflection._FLUX_TOL
-        if z == z2:
-            break
-    assert z == z2
+    transfer, march = reflection._transfer, lifetimes._march
+    blocks, launches, reads = [], [], []
+
+    def recording_transfer(*args):
+        blocks.append(transfer(*args))
+        return blocks[-1]
+
+    def recording_march(table, energy, z, sigma, stops):
+        launches.append(sigma)
+        for read in march(table, energy, z, sigma, stops):
+            reads.append((read, len(blocks)))
+            yield read
+
+    monkeypatch.setattr(reflection, "_transfer", recording_transfer)
+    monkeypatch.setattr(lifetimes, "_march", recording_march)
+    scattering_length(table)
+    (sigma,) = launches
+    cm = 1.0 / math.sqrt(1.0 - abs(sigma) ** 2)
+    cp = sigma * cm
+    states = []
+    for *matrix, _ in blocks:
+        for a, b, c, d in zip(*matrix):
+            cp, cm = a * cp + b * cm, c * cp + d * cm
+            drift = abs(abs(cm) ** 2 - abs(cp) ** 2 - 1.0)
+            assert drift <= reflection._FLUX_TOL
+        states.append((cp, cm))
+    assert [read[0] for read, _ in reads] == list(_READ_OUTS_A0)
+    for (_, cp, cm, _, _), n in reads:
+        assert (cp, cm) == states[n - 1]
 
 
 # Re a of the registry mirrors (nm) from an independent E = 0 solve:

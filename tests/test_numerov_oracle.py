@@ -282,7 +282,7 @@ def test_blocks_span_step_doublings(pc_table, fresh_marches, monkeypatch):
     # block), and so do the later calls (34 and 32)
     cold, *later = _banded_solves(pc_table, (0.30, 0.0148, 0.42),
                                   monkeypatch)
-    assert sum(cold) == 211_351
+    assert sum(cold) == 209_679
     assert len(cold) <= 70, len(cold)
     assert max(len(call) for call in later) <= 15, [len(c) for c in later]
 

@@ -82,8 +82,9 @@ def test_pc_reflection_at_30cm(pc_table):
     assert 0.0 <= res.probability <= 1.0
     assert res.loss == pytest.approx(1.0 - res.probability)
     assert res.flux_drift < 1e-6
-    # launched from the fourth-order WKB wave at z_m = 1.85 a0: 431 Magnus
-    # panels (pinned in test_pc_solve_and_oracle_at_30cm_are_pinned)
+    # launched from the fourth-order WKB wave at z_m = 1.85 a0 and landed
+    # at z_l = 1.41e4 a0: 238 Magnus panels (pinned in
+    # test_pc_solve_and_oracle_at_30cm_are_pinned)
     assert res.steps <= 600
 
 
@@ -92,23 +93,23 @@ def test_pc_solve_and_oracle_at_30cm_are_pinned(pc_table):
     # leave r and the panel count as they are.  The oracle gets 1e-10: its
     # march may round its complex division differently.  The Cash-Karp
     # solver this one replaced gave -0.17925500605335776-0.14431047937124347j
-    # in 383 steps, 3.2e-8 away, within both integrators' errors.  Its
+    # in 383 steps, 3.1e-8 away, within both integrators' errors.  Its
     # second-order launch gave -0.17925500725029014-0.14431047570410657j in
     # 2,919 steps; the fourth-order one must stay within the launch error
     # of it.
     res = solve_reflection(pc_table, E30)
     assert res.r == pytest.approx(
-        -0.17925500744109574 - 0.14431048650966255j, rel=1e-12)
+        -0.17925500742091588 - 0.14431048647501227j, rel=1e-12)
     assert res.r == pytest.approx(
         -0.17925500605335776 - 0.14431047937124347j, rel=1e-7)
     assert res.r == pytest.approx(
         -0.17925500725029014 - 0.14431047570410657j, rel=5e-8)
-    assert (res.steps, res.rejected) == (431, 0)
+    assert (res.steps, res.rejected) == (238, 0)
     oracle = numerov_reflection(pc_table, E30, res.z_start, res.z_end)
-    assert oracle.r_magnitude == pytest.approx(0.23012578609188403, rel=1e-10)
+    assert oracle.r_magnitude == pytest.approx(0.23012578170242243, rel=1e-10)
     # the grid depends on V alone, so it is exact
-    assert oracle.n_points == 210_301
-    assert oracle.z_end == 51291.19206533074
+    assert oracle.n_points == 208_637
+    assert oracle.z_end == 14167.229063065133
 
 
 def test_pc_oracle_grid_at_1e7m_is_pinned(pc_table):
@@ -117,10 +118,10 @@ def test_pc_oracle_grid_at_1e7m_is_pinned(pc_table):
     # a change to the march's node layout shows here too
     res = solve_reflection(pc_table, E_1E7)
     oracle = numerov_reflection(pc_table, E_1E7, res.z_start, res.z_end)
-    assert (oracle.n_points, oracle.z_end) == (211_662, 2627234.6368998196)
+    assert (oracle.n_points, oracle.z_end) == (211_617, 2370222.585345673)
 
 
-@pytest.mark.parametrize("height", [0.30, 1e-7, 4e-7])
+@pytest.mark.parametrize("height", [0.30, 1e-7, 4e-7, 300.0])
 @pytest.mark.parametrize("name", [
     *(f"{name}_table" for name in (
         "pc", "silicon", "silica", "slab", "graphene", "nanodiamond",
@@ -128,17 +129,25 @@ def test_pc_oracle_grid_at_1e7m_is_pinned(pc_table):
     "pure_c4_table"])
 def test_panels_are_converged(request, monkeypatch, name, height):
     # the Magnus step is sixth order in the panel width: 4x the panels must
-    # move r by less than 1e-7 (at most 4.0e-8 measured, pure C4 at 30 cm)
+    # move r by less than 1e-7 of |r| (at most 4.0e-8 measured, pure C4 at
+    # 30 cm).  The panel error, like the launch's and the landing's (up to
+    # _EDGE_TOL/4 each), is absolute on the incident amplitude |c-| = 1:
+    # at 300 m, where |r| falls to 5.9e-5 (pure C4), it is at most 3.7e-9
+    # (silicon), so the bound there is _EDGE_TOL; at the lower heights
+    # |r| >= 0.23 keeps it at 1e-7 |r|.  Landing at z_l keeps every solve
+    # within 450 panels (at most 413, aerogel at 1e-7 m)
     table = request.getfixturevalue(name)
     energy = CONSTANTS.energy_au_from_height(height)
     res = solve_reflection(table, energy)
+    assert res.steps <= 450
     monkeypatch.setattr(reflection, "_PHASE_STEP_FRAC",
                         reflection._PHASE_STEP_FRAC / 4.0)
     monkeypatch.setattr(reflection, "_Z_STEP_FRAC",
                         reflection._Z_STEP_FRAC / 4.0)
     fine = solve_reflection(table, energy)
     assert fine.steps > 3 * res.steps
-    assert abs(fine.r - res.r) <= 1e-7 * abs(fine.r)
+    assert abs(fine.r - res.r) <= max(1e-7 * abs(fine.r),
+                                      reflection._EDGE_TOL)
 
 
 @pytest.mark.parametrize("height", [0.30, 3000.0])
@@ -178,10 +187,10 @@ def test_power_law_scaling_invariance(coefficient, exponent, height, lam):
     (3.0, 0.055040359877781816), (30.0, 0.006539492309677913),
     (300.0, 0.0003158632203428473), (3000.0, 4.3429827028968485e-06)])
 def test_pc_heights_beyond_the_sweep_span(pc_table, height, r_magnitude):
-    # below 1e-8 m z_end_min lies within a decade of the table end, so only
-    # the checkpoint there can stop the solve; at 300 m and above |r| is
-    # 3e-4 and smaller and takes more than a decade past z_end_min to settle.
-    # The |r| are the Cash-Karp solver's, to within both solvers' errors.
+    # at 1e-9 m z_end_min is the table's last point and z_l lies beyond the
+    # table, so the solve lands at z_end_min, as it launches at z_start when
+    # z_m lies below it; at 300 m and above |r| is 3e-4 and smaller.  The
+    # |r| are the Cash-Karp solver's, to within both solvers' errors.
     res = solve_reflection(pc_table, CONSTANTS.energy_au_from_height(height))
     assert abs(abs(res.r) - r_magnitude) <= 1e-7
     assert res.flux_drift <= 1e-6
@@ -243,19 +252,19 @@ def test_boundary_robustness(pc_table, silica_table, monkeypatch):
 
 @pytest.mark.parametrize("height", [0.3, 1.0])
 def test_phase_reference_does_not_depend_on_the_end(pc_table, silica_table,
-                                                   monkeypatch, height):
-    # r is referenced to the Q-selected z_end_min, so a tighter convergence
-    # test, which moves the end of the solve outward, must leave complex r
-    # alone, not just |r|: far out each step advances 2 phi by pi, and r
-    # referenced to z_end flips sign with the parity of the step count
+                                                   landings_beyond, height):
+    # r is referenced to the Q-selected z_end_min, so landing at any grid
+    # point in (z_l, 10 z_l] instead of z_l must leave complex r alone, not
+    # just |r|: far out each panel advances 2 phi by about pi/4, and r
+    # referenced to the landing point turns with the panel count (at most
+    # 2.4e-11 apart here; 1.9e-9 on the registry and pure C4 at 1e-7 to
+    # 300 m)
     energy = CONSTANTS.energy_au_from_height(height)
     for table in (pc_table, silica_table):
-        res = solve_reflection(table, energy)
-        with monkeypatch.context() as m:
-            m.setattr(reflection, "_R_TOL", 1e-6)
-            far = solve_reflection(table, energy)
-        assert far.z_end > res.z_end
-        assert abs(far.r - res.r) <= 1e-8 * abs(res.r)
+        r, landed = landings_beyond(table, energy)
+        assert len(landed) > 10
+        for r_far in landed:
+            assert abs(r_far - r) <= 1e-8 * abs(r)
 
 
 @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0])
@@ -329,11 +338,13 @@ def test_magnus_exponent_on_the_off_diagonal_is_the_commutator_form(
         request, monkeypatch, name, height_m):
     # the transfer matrices carry A's zero diagonal nowhere; on every block
     # of up to _BLOCK panels of a solve their four entries and phi are those
-    # of the commutator form with the zeros in, bit for bit
+    # of the commutator form with the zeros in, bit for bit.  Blocks of 64
+    # panels split every solve, so later blocks start from phi0 != 0
     table = request.getfixturevalue(name)
     energy = CONSTANTS.energy_au_from_height(height_m)
     transfer = reflection._transfer
     blocks = []
+    monkeypatch.setattr(reflection, "_BLOCK", 64)
 
     def recording(table, energy, edges, phi0):
         blocks.append((edges, phi0))
