@@ -9,10 +9,12 @@ table, entirely different formulation and integrator.
 The complex wavefunction is seeded with the toward-surface WKB wave at the
 near end (full absorption leaves no outgoing wave there), marched outward
 on piecewise-uniform grids whose step doubles as the local de Broglie
-wavelength grows (a few chunks at a time, each block one banded unit
-lower-triangular solve by LAPACK's dtbtrs, with the Numerov factor f taken
-straight from V), and projected onto the WKB basis at the far end.  Only
-|r| is convention-free and compared against the amplitude solver.
+wavelength grows (up to sixteen 400-point chunks at a time, each block one
+banded unit lower-triangular solve by LAPACK's dtbtrs, with the Numerov
+factor f taken straight from V), and projected onto the WKB basis at the
+far end.  Only |r| is convention-free and compared against the amplitude
+solver.  On the perfect conductor at 30 cm a cold march solves 209,679
+rows in 33 blocks.
 
 Near the surface |V| dwarfs the free-fall energies.  Where E < 2^-54 |V|,
 E is below half an ulp of |V|, so E - V rounds to -V and every wavevector,
@@ -49,7 +51,10 @@ from .reflection import _check_energy
 _M = CONSTANTS.mass_au
 _GL16_X, _GL16_W = leggauss(16)
 _POINTS_PER_WAVELENGTH = 100   # Numerov points per local de Broglie wavelength
-_BLOCK_CHUNKS = 8              # chunks per banded solve; bounds its memory
+# chunks per banded solve: each block pays about 50 us of fixed numpy work
+# for its ~6,400 rows, and its arrays set the march's memory (a tracemalloc
+# peak of about 0.8 MB for the cold 30 cm march on the perfect conductor)
+_BLOCK_CHUNKS = 16
 # E below 2^-54 |V| leaves E - V = -V; a table reads V < 0 (0 on the null
 # table), so the least |V| read is minus the largest V
 _ZERO_ENERGY = 2.0 ** -54
@@ -153,13 +158,15 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     # bound, the state after a block of full chunks other than the last is
     # recorded once the next block has begun.
     full = int(max(64, 4 * ppw))
+    offsets = np.arange(-1.0, full + 1)
+    z_max = table.z_max
     done = False
     while not done:
         bases, steps, counts, v_ends = [], [], [], []
         z = z_last
         for _ in range(_BLOCK_CHUNKS):
             n_max = int(min(full, math.ceil((z_end - z) / h) + 1,
-                            (table.z_max - z) // h))
+                            (z_max - z) // h))
             if n_max < 1:
                 done = True
                 break
@@ -182,16 +189,28 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             recorded.append(pending)
             pending = None
         # chunk i has nodes base_i + h_i j, j = -1 .. counts_i, from index
-        # p_i; only a block's last chunk can be short, so the rows of one
-        # outer sum, cut after the last node, hold every chunk's nodes
-        sizes = np.array(counts) + 2
-        p = np.cumsum(sizes) - sizes
+        # p_i = i width; only a block's last chunk can be short, so the rows
+        # of one outer sum, cut after the last node, hold every chunk's nodes
+        width = counts[0] + 2
+        last = width * (len(counts) - 1)
+        p = np.arange(0, last + 1, width)
         hs = np.array(steps)
-        z_nodes = (np.array(bases)[:, None] + hs[:, None]
-                   * np.arange(-1.0, counts[0] + 1)).ravel()[:sizes.sum()]
+        z_nodes = hs[:, None] * offsets[:width]
+        z_nodes += np.array(bases)[:, None]
+        z_nodes = z_nodes.ravel()[:last + counts[-1] + 2]
         v = table.potential(z_nodes)
-        f = 1.0 + (np.repeat(hs * hs / 12.0, sizes)
-                   * (two_m * (energy_au - v)))
+        if recording:
+            bound = min(bound, -_ZERO_ENERGY * max([v.max(), *v_ends]))
+            recording = energy_au < bound
+        # f = 1 + h^2/12 2m (E - V) in place on the V read, each chunk's
+        # h^2/12 applied to its rows of that outer sum
+        f = np.subtract(energy_au, v, out=v)
+        f *= two_m
+        h2 = hs * hs / 12.0
+        full_rows = f[:last].reshape(-1, width)
+        full_rows *= h2[:-1, None]
+        f[last:] *= h2[-1]
+        f += 1.0
         # LAPACK band storage, one column per node, each row divided by its
         # f2: a unit diagonal (row 0, which diag="U" never reads), then
         # -(12 - 10 f1)/f2, f0/f2 and 0 of the rows that read them, so the
@@ -219,11 +238,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             seed = psi[[-3, -1]]
         else:
             seed = psi[-2:].copy()
-        if recording:
-            bound = min(bound, -_ZERO_ENERGY * max([v.max(), *v_ends]))
-            recording = energy_au < bound
-            if recording and counts[-1] == full:
-                pending = _MarchState(z_last, h, seed, total_points, bound)
+        if recording and counts[-1] == full:
+            pending = _MarchState(z_last, h, seed, total_points, bound)
     if psi_tail is None:
         raise ValueError("integration window shorter than one step")
     if recorded:

@@ -557,12 +557,16 @@ class PotentialTable:
         z <= 0 fails the check without numpy's log warning."""
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.log(z)
-        inside = (t >= self._t_lo) & (t <= self._t_hi)
-        if not inside.all():
+        # the extremes decide (min and max carry a NaN z, or the NaN of a
+        # z < 0, into a failed comparison); the mask naming the first z
+        # outside is built on the error path only
+        if t.size and not (t.min() >= self._t_lo and t.max() <= self._t_hi):
+            inside = (t >= self._t_lo) & (t <= self._t_hi)
             raise ValueError(f"z = {z[~inside].flat[0]:g} outside table range")
         i = ((t - self._t0) / self._dt).astype(np.intp)
         i = np.minimum(np.maximum(i, 0), self._last)
-        return i, t - self._t[i]
+        t -= self._t.take(i)
+        return i, t
 
     def potential(self, z_au):
         """Interpolated V(z) (Hartree); accepts scalars or arrays."""
@@ -572,8 +576,15 @@ class PotentialTable:
         i, s = self._segments(z)
         if self.is_null:
             return np.zeros_like(z)
-        c0, c1, c2, c3 = self._c.take(i, axis=1)
-        return -np.exp(((c0 * s + c1) * s + c2) * s + c3)
+        # ((c0 s + c1) s + c2) s + c3 and exp in place on the gathered rows:
+        # the same operations in the same order, without temporaries; one
+        # gather per row, so the V returned holds only its own floats
+        c0, c1, c2, c3 = (row.take(i) for row in self._c)
+        for c in (c1, c2, c3):
+            c0 *= s
+            c0 += c
+        np.exp(c0, out=c0)
+        return np.negative(c0, out=c0)
 
     def derivatives_scalar(self, z: float) -> tuple[float, float]:
         """(V, V') at a single z in plain floats: a_0 and a_1/z of

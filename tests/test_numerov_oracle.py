@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -155,15 +156,15 @@ def test_block_size_leaves_the_march_unchanged(pc_table, monkeypatch,
                                                height_m):
     # one chunk per block carries the seed rows across every chunk end, and
     # one block up to each doubling cuts at it: both march the same grid
-    # with the same arithmetic as the default blocks
+    # with the same arithmetic as the default blocks, and so do blocks of
+    # eight chunks, the default before blocks of sixteen
     energy = CONSTANTS.energy_au_from_height(height_m)
     res = solve_reflection(pc_table, energy)
     runs = []
-    for chunks in (numerov._BLOCK_CHUNKS, 1, 10_000):
+    for chunks in (numerov._BLOCK_CHUNKS, 8, 1, 10_000):
         monkeypatch.setattr(numerov, "_BLOCK_CHUNKS", chunks)
         runs.append(_cold(pc_table, energy, res.z_start, res.z_end))
-    assert runs[1] == runs[0]
-    assert runs[2] == runs[0]
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_oracle_self_convergence(pure_c4_table, monkeypatch):
@@ -278,13 +279,27 @@ def test_later_energies_skip_the_shared_stretch(pc_table, fresh_marches,
 def test_blocks_span_step_doublings(pc_table, fresh_marches, monkeypatch):
     # a block ends only after _BLOCK_CHUNKS chunks, a short chunk or the
     # end of the march, not where the step doubles: the cold march at 30 cm
-    # solves the same rows in fewer solves (91 when every doubling ended a
-    # block), and so do the later calls (34 and 32)
+    # solves the same rows in 33 solves (66 in blocks of eight chunks, 91
+    # when every doubling ended a block), and the later calls in 6 and 7
+    # (12 and 13 in blocks of eight, 34 and 32 cut at every doubling)
     cold, *later = _banded_solves(pc_table, (0.30, 0.0148, 0.42),
                                   monkeypatch)
     assert sum(cold) == 209_679
-    assert len(cold) <= 70, len(cold)
-    assert max(len(call) for call in later) <= 15, [len(c) for c in later]
+    assert len(cold) <= 36, len(cold)
+    assert max(len(call) for call in later) <= 8, [len(c) for c in later]
+
+
+def test_cold_march_memory(pc_table, fresh_marches):
+    # a block's arrays grow with _BLOCK_CHUNKS: the cold march at 30 cm
+    # peaks at about 0.8 MB in blocks of sixteen chunks (1.6 MB in 32)
+    res = solve_reflection(pc_table, E30)
+    tracemalloc.start()
+    try:
+        numerov_reflection(pc_table, E30, res.z_start, res.z_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
 
 
 def test_record_is_per_points_per_wavelength(pc_table, fresh_marches,

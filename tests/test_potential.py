@@ -786,3 +786,14 @@ def test_array_paths_raise_for_non_positive_z_without_a_warning(z):
             tab.potential(np.array([z, 1.0]))
         with pytest.raises(ValueError, match="outside table range"):
             tab.taylor(np.array([1.0, z]), 2)
+
+
+@pytest.mark.parametrize("make", [lambda: PotentialTable.from_power_law(
+    0.25, 3.0, 1e-8, 1e7, 480), PotentialTable.null], ids=["c3", "null"])
+def test_array_paths_read_an_empty_array(make):
+    # no z is outside the table: the range check takes the extremes of
+    # ln z only when there are some
+    tab = make()
+    empty = np.array([])
+    assert tab.potential(empty).shape == (0,)
+    assert tab.taylor(empty, 2).shape == (3, 0)
