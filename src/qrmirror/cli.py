@@ -21,12 +21,10 @@ from .lifetimes import ExtractionError, lifetime_for_table
 from .optics import (
     MaterialFileError,
     builtin_material_names,
-    builtin_material_path,
     graphene_sheet,
     key_value_lines,
     load_builtin,
     load_material_file,
-    material_file_kind,
 )
 from .potential import (
     MirrorSpec,
@@ -103,26 +101,41 @@ def _merge_settings(args) -> None:
             setattr(args, key, cfg.get(key, default))
 
 
+# the mirrors that no material file describes: name -> (spec, its name in
+# messages, its `material show` line)
+_NAMED_MIRRORS = {
+    "perfect_conductor": (MirrorSpec.perfect_conductor(), "perfect conductor",
+                          "ideal mirror (r_TM = 1, r_TE = -1)"),
+    "graphene": (MirrorSpec.conducting_sheet(graphene_sheet()), "graphene sheet",
+                 f"conducting sheet, eta = {graphene_sheet().eta:.6g}"),
+}
+
+
+def _mirror_names() -> list[str]:
+    """Every mirror that ``--mirror`` takes by name."""
+    return sorted(builtin_material_names() + list(_NAMED_MIRRORS))
+
+
 def _resolve_mirror(name, slab_nm, porosity) -> MirrorSpec:
     if not name:
         raise UsageError("no mirror selected (use --mirror)")
     if slab_nm is not None and porosity is not None:
         raise UsageError("--slab-nm and --porosity are mutually exclusive")
-
-    if name == "graphene":
+    if name in _NAMED_MIRRORS:
+        mirror, spelled, _ = _NAMED_MIRRORS[name]
         if slab_nm is not None or porosity is not None:
-            raise UsageError("graphene sheet takes no slab/porosity modifier")
-        return MirrorSpec.conducting_sheet(graphene_sheet())
+            raise UsageError(f"{spelled} takes no slab/porosity modifier")
+        return mirror
     if name == "vacuum":
         raise UsageError("vacuum is not a mirror")
-
     # a file if one exists at ``name``, else the shipped material ``name``
-    path = Path(name) if Path(name).is_file() else builtin_material_path(name)
-    if material_file_kind(path) == "perfect_conductor":
-        if slab_nm is not None or porosity is not None:
-            raise UsageError("perfect conductor takes no slab/porosity modifier")
-        return MirrorSpec.perfect_conductor()
-    model = load_material_file(path)
+    if Path(name).is_file():
+        model = load_material_file(name)
+    elif name in builtin_material_names():
+        model = load_builtin(name)
+    else:
+        raise UsageError(f"unknown material {name!r}; shipped: "
+                         f"{', '.join(_mirror_names())}")
     # MirrorSpec rejects a model without oscillators and validates the
     # thickness and the porosity (ValueError: exit 2)
     if slab_nm is not None:
@@ -170,20 +183,14 @@ def _emit(args, stem: str, write_csv, make_json, *data) -> None:
 
 def _cmd_material(args) -> int:
     if args.action == "list":
-        names = builtin_material_names() + ["graphene"]
-        for n in sorted(names):
-            print(n)
+        print("\n".join(_mirror_names()))
         return 0
     if args.name is None:
         raise UsageError("material show needs a name")
-    mirror = _resolve_mirror(args.name, slab_nm=None, porosity=None)
-    if mirror.kind == "sheet":
-        print("graphene: conducting sheet, eta =", f"{mirror.sheet.eta:.6g}")
+    if args.name in _NAMED_MIRRORS:
+        print(f"{args.name}: {_NAMED_MIRRORS[args.name][2]}")
         return 0
-    if mirror.kind == "perfect_conductor":
-        print("perfect_conductor: ideal mirror (r_TM = 1, r_TE = -1)")
-        return 0
-    model = mirror.dielectric
+    model = _resolve_mirror(args.name, slab_nm=None, porosity=None).dielectric
     print(f"{model.name}: {len(model.oscillators)} oscillator(s)")
     print(f"  static epsilon = {model.static_epsilon:.4f}")
     lam = model.wavelength_au

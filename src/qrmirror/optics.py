@@ -8,6 +8,8 @@ which are real, >= 1 and monotonically non-increasing for xi >= 0.  The
 atomic polarizability, Fresnel amplitudes at imaginary frequency, finite
 slab and conducting sheet reflection amplitudes, and Bruggeman effective
 medium mixing live here as well, together with the material file loader.
+A material file describes one dielectric; the two mirrors that are not
+dielectrics, the perfect conductor and the graphene sheet, have no file.
 """
 
 from __future__ import annotations
@@ -228,20 +230,19 @@ def key_value_lines(path, error=MaterialFileError):
         yield f"{path}:{lineno}", key.strip().lower(), value.strip()
 
 
-def _parse_material_file(path) -> tuple[str, DielectricModel]:
-    """(kind tag, model) of a material file; see ``load_material_file``."""
+def load_material_file(path) -> DielectricModel:
+    """Parse a line-oriented material file into a DielectricModel.
+
+    Format: ``name = <string>``, then one ``osc = wp2, w02, gamma`` line per
+    oscillator (all in Hartree units); ``#`` starts a comment.  A file whose
+    oscillator list is empty describes vacuum.  Any other key, ``kind``
+    included, is an error.
+    """
     name = None
-    kind = "dielectric"
     oscillators: list[Oscillator] = []
     for where, key, value in key_value_lines(path):
         if key == "name":
             name = value
-        elif key == "kind":
-            # sentinel files (e.g. the perfect conductor) carry a kind tag
-            # and no oscillators; the registry maps them to mirror variants.
-            if value not in ("perfect_conductor", "dielectric"):
-                raise MaterialFileError(f"{where}: unknown kind {value!r}")
-            kind = value
         elif key == "osc":
             parts = [p.strip() for p in value.split(",")]
             if len(parts) != 3:
@@ -260,28 +261,9 @@ def _parse_material_file(path) -> tuple[str, DielectricModel]:
             oscillators.append(osc)
         else:
             raise MaterialFileError(f"{where}: unknown key {key!r}")
-        if kind == "perfect_conductor" and oscillators:
-            raise MaterialFileError(
-                f"{where}: a perfect_conductor file takes no osc lines")
     if name is None:
         raise MaterialFileError(f"{path}: missing 'name' entry")
-    return kind, DielectricModel(name=name, oscillators=tuple(oscillators))
-
-
-def load_material_file(path) -> DielectricModel:
-    """Parse a line-oriented material file into a DielectricModel.
-
-    Format: ``name = <string>``, then one ``osc = wp2, w02, gamma`` line per
-    oscillator (all in Hartree units); ``#`` starts a comment.  A file whose
-    oscillator list is empty describes vacuum.  A ``kind = perfect_conductor``
-    file takes no ``osc`` lines.
-    """
-    return _parse_material_file(path)[1]
-
-
-def material_file_kind(path) -> str:
-    """The ``kind`` tag of a valid material file ('dielectric' default)."""
-    return _parse_material_file(path)[0]
+    return DielectricModel(name=name, oscillators=tuple(oscillators))
 
 
 def builtin_material_names() -> list[str]:

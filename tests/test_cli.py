@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrmirror import cli
+from qrmirror import cli, optics, potential
 from qrmirror.constants import CONSTANTS
 from qrmirror.reflection import solve_reflection
 
@@ -28,12 +28,63 @@ def test_help(run_cli):
 
 
 def test_material_list(run_main):
+    # the shipped material files and the two mirrors known by name
     cp = run_main("material", "list")
     assert cp.returncode == 0
-    names = cp.stdout.split()
-    for expected in ("perfect_conductor", "silicon", "silica", "diamond",
-                     "graphene"):
-        assert expected in names
+    assert cp.stdout.split() == ["diamond", "graphene", "perfect_conductor",
+                                 "silica", "silicon"]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("perfect_conductor",
+     "perfect_conductor: ideal mirror (r_TM = 1, r_TE = -1)\n"),
+    ("graphene", "graphene: conducting sheet, eta = 0.0229253\n"),
+    ("silica",
+     "silica: 2 oscillator(s)\n"
+     "  static epsilon = 3.8010\n"
+     "  wavelength = 30120.4 a0 = 1593.88 nm\n"
+     "  osc: wp2 = 0.265476 Eh^2, w02 = 0.241781 Eh^2, gamma = 0 Eh\n"
+     "  osc: wp2 = 3.52502e-05 Eh^2, w02 = 2.06989e-05 Eh^2, gamma = 0 Eh\n"),
+])
+def test_material_show_text(run_main, name, text):
+    cp = run_main("material", "show", name)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (0, text, "")
+
+
+def test_named_mirror_is_not_shadowed_by_a_file(run_main, tmp_path):
+    # a file in the working directory that bears a named mirror's name is
+    # not read: the names resolve before any path
+    for name in ("perfect_conductor", "graphene"):
+        (tmp_path / name).write_text("name = impostor\nosc = 1.0, 0.5, 0.1\n")
+    cp = run_main("material", "show", "perfect_conductor")
+    assert cp.stdout.startswith("perfect_conductor: ideal mirror")
+    cp = run_main("material", "show", "graphene")
+    assert cp.stdout.startswith("graphene: conducting sheet")
+
+
+def test_unknown_mirror_lists_every_name(run_main):
+    cp = run_main("potential", "--mirror", "perfect_conductr")
+    assert cp.returncode == 2
+    assert cp.stderr == ("error: unknown material 'perfect_conductr'; shipped: "
+                         "diamond, graphene, perfect_conductor, silica, "
+                         "silicon\n")
+
+
+def test_mirror_file_is_read_once(monkeypatch, tmp_path):
+    reads = []
+    key_value_lines = optics.key_value_lines
+
+    def counting(path, *args):
+        reads.append(str(path))
+        return key_value_lines(path, *args)
+
+    monkeypatch.setattr(optics, "key_value_lines", counting)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "glass.mat"
+    path.write_text("name = glass\nosc = 1.0, 0.5, 0.0\n")
+    assert cli.main(["potential", "--mirror", str(path), "--points", "16",
+                     "--z-min-a0", "1", "--z-max-a0", "1e3"]) == 0
+    assert reads == [str(path)]
 
 
 def test_material_show(run_main):
@@ -122,15 +173,30 @@ def test_non_finite_material_file_exits_2(monkeypatch, tmp_path, capsys):
 
 def test_perfect_conductor_file_with_oscillators_exits_2(monkeypatch, tmp_path,
                                                         capsys):
+    # material files hold dielectrics only: a `kind` line is an unknown key
     path = tmp_path / "both"
     path.write_text("name = both\nkind = perfect_conductor\n"
                     "osc = 1.0, 0.5, 0.1\n")
     monkeypatch.chdir(tmp_path)
     argv = ["potential", "--mirror", str(path), "--points", "16"]
     assert cli.main(argv) == 2
-    assert f"{path}:3: a perfect_conductor file takes no osc lines" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}:2: unknown key 'kind'\n"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_oversized_grid_exits_2_before_any_quadrature(monkeypatch, tmp_path,
+                                                      capsys):
+    # 1e6 points once took 15 s and 744 MB; 1e8 ran for minutes
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(potential, "_potential", no_quadrature)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["potential", "--mirror", "silica",
+                     "--points", "100001"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: need 16 <= n_points <= 100000, got 100001\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

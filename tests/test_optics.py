@@ -18,7 +18,6 @@ from qrmirror.optics import (
     graphene_sheet,
     load_builtin,
     load_material_file,
-    material_file_kind,
     sheet_reflection,
     slab_reflection,
 )
@@ -280,9 +279,13 @@ def test_porosity_validation():
 
 
 def test_builtin_names_include_shipped_set():
+    # every shipped material file is a dielectric a bulk mirror accepts
     names = builtin_material_names()
-    for expected in ("perfect_conductor", "silicon", "silica", "diamond"):
-        assert expected in names
+    assert names == ["diamond", "silica", "silicon"]
+    for name in names:
+        model = load_builtin(name)
+        assert isinstance(model, DielectricModel) and not model.is_vacuum
+        assert MirrorSpec.bulk(model).dielectric is model
 
 
 def test_load_silicon_file():
@@ -317,17 +320,17 @@ def test_non_finite_oscillator_rejected_with_line_number(tmp_path, bad, slot):
         load_material_file(path)
 
 
-@pytest.mark.parametrize("text", [
-    "name = both\nkind = perfect_conductor\nosc = 1.0, 0.5, 0.1\n",
-    "name = both\nosc = 1.0, 0.5, 0.1\nkind = perfect_conductor\n",
+@pytest.mark.parametrize("text, line", [
+    ("name = both\nkind = perfect_conductor\nosc = 1.0, 0.5, 0.1\n", 2),
+    ("name = both\nosc = 1.0, 0.5, 0.1\nkind = perfect_conductor\n", 3),
 ], ids=["kind-first", "osc-first"])
-def test_perfect_conductor_with_oscillators_rejected(tmp_path, text):
+def test_perfect_conductor_with_oscillators_rejected(tmp_path, text, line):
+    # a material file describes a dielectric: `kind` is no key of it
     path = tmp_path / "both"
     path.write_text(text)
-    for read in (load_material_file, material_file_kind):
-        with pytest.raises(MaterialFileError,
-                           match=":3: a perfect_conductor file takes no osc"):
-            read(path)
+    with pytest.raises(MaterialFileError,
+                       match=f":{line}: unknown key 'kind'"):
+        load_material_file(path)
 
 
 def test_malformed_line_reports_position(tmp_path):
