@@ -14,7 +14,6 @@ from .optics import (
     SheetModel,
     bruggeman_mix,
     builtin_material_names,
-    builtin_material_path,
     fresnel,
     graphene_sheet,
     load_builtin,
@@ -23,13 +22,11 @@ from .optics import (
     slab_reflection,
 )
 from .potential import (
-    Asymptotics,
     MirrorSpec,
     PotentialTable,
     QuadratureError,
     build_potential_table,
     build_solver_table,
-    extract_asymptotics,
     retarded_coefficient,
     retarded_reference,
     vdw_coefficient_integral,

@@ -28,7 +28,6 @@ from .optics import (
 )
 from .potential import (
     MirrorSpec,
-    PotentialTable,
     QuadratureError,
     SOLVER_POINTS,
     SOLVER_Z_HI,
@@ -160,13 +159,6 @@ def _mirror_slug(mirror: MirrorSpec) -> str:
             .replace(".", "p"))
 
 
-def _table(args, mirror: MirrorSpec) -> PotentialTable:
-    """The mirror's table on the grid of the flags/config, else the solver
-    grid; build_potential_table validates the grid (ValueError: exit 2)."""
-    return build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
-                                 args.points)
-
-
 def _emit(args, stem: str, write_csv, make_json, *data) -> None:
     """Write ``data`` as CSV or JSON (per --format) and report the path."""
     out = Path(args.out or f"{stem}.{args.format}")
@@ -203,7 +195,8 @@ def _cmd_material(args) -> int:
 
 def _cmd_potential(args) -> int:
     mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
-    table = _table(args, mirror)
+    table = build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
+                                  args.points)
     _emit(args, f"potential_{_mirror_slug(mirror)}", reporting.potential_table_csv,
           reporting.potential_table_json, table)
     return 0
@@ -212,7 +205,8 @@ def _cmd_potential(args) -> int:
 def _cmd_reflect(args) -> int:
     mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
     heights = _heights_m(args)
-    table = _table(args, mirror)
+    table = build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
+                                  args.points)
     points = reflection_sweep(table, heights)
     _emit(args, f"reflect_{_mirror_slug(mirror)}", reporting.sweep_csv,
           reporting.sweep_json, points)
@@ -230,7 +224,8 @@ def _cmd_badlands(args) -> int:
     if len(set(keys)) < len(keys):
         raise UsageError("badlands heights must differ in 6 significant "
                          f"digits, got {args.height_cm} cm")
-    table = _table(args, mirror)
+    table = build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
+                                  args.points)
     profiles = {}
     peaks = {}
     for h in heights:
@@ -245,7 +240,8 @@ def _cmd_badlands(args) -> int:
 
 def _cmd_lifetime(args) -> int:
     mirror = _resolve_mirror(args.mirror, args.slab_nm, args.porosity)
-    table = _table(args, mirror)
+    table = build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
+                                  args.points)
     lt = lifetime_for_table(table)
     rows = [(mirror.label, mirror.porosity, abs(lt.scattering.im_a_nm),
              lt.tau_s, lt.scattering.re_a_nm)]
@@ -302,11 +298,11 @@ def _mirror_registry() -> dict[str, MirrorSpec]:
     silicon = load_builtin("silicon")
     diamond = load_builtin("diamond")
     return {
-        "perfect_conductor": MirrorSpec.perfect_conductor(),
+        "perfect_conductor": _NAMED_MIRRORS["perfect_conductor"][0],
         "silicon": MirrorSpec.bulk(silicon),
         "silica": MirrorSpec.bulk(silica),
         "silica_slab_5nm": MirrorSpec.slab_nm(silica, 5.0),
-        "graphene": MirrorSpec.conducting_sheet(graphene_sheet()),
+        "graphene": _NAMED_MIRRORS["graphene"][0],
         "nanodiamond_p95": MirrorSpec.porous(diamond, 0.95),
         "porous_silicon_p95": MirrorSpec.porous(silicon, 0.95),
         "silica_aerogel_p98": MirrorSpec.porous(silica, 0.98),
@@ -333,7 +329,7 @@ def _reproduce_table1(tables, refs) -> list[dict]:
             cell = check_against_reference(f"table1.{name}.{quantity}",
                                            getattr(table, quantity), refs)
             if cell["computed"] is None:
-                cell["note"] = "; ".join(table.asymptotics.notes)
+                cell["note"] = "; ".join(table.fit_notes)
             rows.append(cell)
     return rows
 
@@ -368,10 +364,9 @@ def _reproduce_fig1(tables, refs) -> list[dict]:
     rows = [_check_relation("fig1.left.potential_ordering", ok_pot,
                             "PC>=Si>=silica", "at every z")]
     heights = [0.01, 0.03, 0.1, 0.3, 1.0]
-    probs = {}
-    for name in tables:
-        pts = reflection_sweep(tables[name], heights)
-        probs[name] = [p.result.probability for p in pts]
+    probs = {name: [solve_reflection(table, CONSTANTS.energy_au_from_height(h))
+                    .probability for h in heights]
+             for name, table in tables.items()}
     ok_refl = all(
         probs["perfect_conductor"][i] < probs["silicon"][i] < probs["silica"][i]
         for i in range(len(heights))

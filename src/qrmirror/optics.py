@@ -274,14 +274,10 @@ def builtin_material_names() -> list[str]:
     )
 
 
-def builtin_material_path(name: str) -> Path:
-    path = _MATERIALS_DIR / name
-    if not path.is_file():
-        raise MaterialFileError(
-            f"unknown material {name!r}; shipped: {', '.join(builtin_material_names())}"
-        )
-    return path
-
-
 def load_builtin(name: str) -> DielectricModel:
-    return load_material_file(builtin_material_path(name))
+    """The shipped material ``name``, one of ``builtin_material_names()``."""
+    names = builtin_material_names()
+    if name not in names:
+        raise MaterialFileError(
+            f"unknown material {name!r}; shipped: {', '.join(names)}")
+    return load_material_file(_MATERIALS_DIR / name)

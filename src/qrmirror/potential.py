@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -399,18 +399,9 @@ def vdw_coefficient_integral(mirror: MirrorSpec) -> float:
 _EXPONENT_TOL = 0.05
 
 
-@dataclass
-class Asymptotics:
-    c3: float | None = None
-    c4: float | None = None
-    c5: float | None = None
-    near_exponent: float | None = None
-    far_exponent: float | None = None
-    notes: list[str] = field(default_factory=list)
-
-
-def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
-    """Power-law fits on the extreme decades of a potential table.
+def _fit_ends(t, v) -> tuple:
+    """Power-law fits on the end decades of a table, from t = ln z and V:
+    (c3, c4, c5, near_exponent, far_exponent, notes), None where no fit.
 
     Near side targets exponent 3 (van der Waals); far side targets 4
     (retarded, bulks), then 5 (slabs).  Each side is a least-squares line
@@ -419,18 +410,18 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
     target, yields no coefficient but a note, and so does a table narrower
     than 2.5 decades: the fits are a report on the table and never fail.
     """
-    if table.is_null:
-        return Asymptotics(notes=["null potential"])
-    t = np.log(table.z)
-    w = np.log(-table.V)
+    fit = dict.fromkeys(("c3", "c4", "c5", "near_exponent", "far_exponent"))
+    if not v.any():
+        return (*fit.values(), ["null potential"])
     span = (t[-1] - t[0]) / _LN10
     if span < 2.5:
-        return Asymptotics(notes=[f"table spans only {span:.2f} decades"])
-    fit = {"notes": []}
+        return (*fit.values(), [f"table spans only {span:.2f} decades"])
+    w = np.log(-v)
+    notes = []
     for side, end, targets in (("near", t <= t[0] + _LN10, (3.0,)),
                                ("far", t >= t[-1] - _LN10, (4.0, 5.0))):
         if np.count_nonzero(end) < 2:
-            fit["notes"].append(f"{side} decade holds one point: no fit")
+            notes.append(f"{side} decade holds one point: no fit")
             continue
         exponent = -float(np.polyfit(t[end], w[end], 1)[0])
         fit[f"{side}_exponent"] = exponent
@@ -439,9 +430,9 @@ def extract_asymptotics(table: "PotentialTable") -> Asymptotics:
                 fit[f"c{p:g}"] = float(np.exp(np.mean(w[end] + p * t[end])))
                 break
         else:
-            fit["notes"].append(f"{side} exponent {exponent:.3f} not ~"
-                                + " or ~".join(f"{p:g}" for p in targets))
-    return Asymptotics(**fit)
+            notes.append(f"{side} exponent {exponent:.3f} not ~"
+                         + " or ~".join(f"{p:g}" for p in targets))
+    return (*fit.values(), notes)
 
 
 # order of the Taylor rows a table keeps on its own grid: the amplitude
@@ -518,7 +509,9 @@ class PotentialTable:
     [z_min, z_max], with 1e-12 slack in ln z, raises ValueError; nothing is
     extrapolated.  V < 0 and strictly increasing toward zero for every
     physical mirror; the all-zero table is the free-space degenerate case
-    used by tests.
+    used by tests.  Fits (``_fit_ends``, made once here): ``c3``, ``c4``,
+    ``c5``, ``near_exponent`` and ``far_exponent``, each None where its end
+    decade fits no power law, and ``fit_notes``, a list saying why.
     """
 
     def __init__(self, z_au, v_au, label: str = ""):
@@ -548,7 +541,8 @@ class PotentialTable:
             # plain-float copies for the scalar path
             self._knots = t.tolist()
             self._c0, self._c1, self._c2, self._c3 = self._c.tolist()
-        self.asymptotics = extract_asymptotics(self)
+        (self.c3, self.c4, self.c5, self.near_exponent, self.far_exponent,
+         self.fit_notes) = _fit_ends(t, v)
 
     # -- interpolation -----------------------------------------------------
 
@@ -656,18 +650,6 @@ class PotentialTable:
     def z_max(self) -> float:
         return float(self.z[-1])
 
-    @property
-    def c3(self):
-        return self.asymptotics.c3
-
-    @property
-    def c4(self):
-        return self.asymptotics.c4
-
-    @property
-    def c5(self):
-        return self.asymptotics.c5
-
     def ratio_to_retarded(self):
         """V / V* on the grid, V*(z) = -C4*/z^4 (perfect-conductor retarded
         limit)."""
@@ -696,8 +678,9 @@ _MAX_POINTS = 100_000
 
 def build_potential_table(mirror: MirrorSpec, z_lo: float, z_hi: float,
                           n_points: int) -> PotentialTable:
-    """Tabulate V(z) on a log grid and fit the asymptotic coefficients
-    (``PotentialTable.asymptotics``; a fit that misses leaves a note)."""
+    """Tabulate V(z) on a log grid; the table fits its asymptotic
+    coefficients (``PotentialTable.c3`` etc.; a fit that misses leaves a
+    note in ``fit_notes``)."""
     if not 0 < z_lo < z_hi < math.inf:
         raise ValueError(f"need 0 < z_lo < z_hi < inf, got [{z_lo}, {z_hi}]")
     if not _MIN_POINTS <= n_points <= _MAX_POINTS:

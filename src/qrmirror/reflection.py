@@ -120,7 +120,6 @@ class ReflectionResult:
     r: complex                    # phase referenced to z0 = Q-selected z_end_min
     probability: float            # |r|^2
     loss: float                   # 1 - |r|^2
-    energy_au: float
     z_start: float                # near WKB-exact endpoint
     z_end: float                  # landing point z_l, where r is read
     flux_drift: float             # max |(|c-|^2 - |c+|^2) - 1| at the stops
@@ -376,7 +375,6 @@ def solve_reflection(table: PotentialTable, energy_au: float) -> ReflectionResul
     r = _land(cp, cm, phi, complex(sigma[i_land]), reads[0][3])
     prob = abs(r) ** 2
     return ReflectionResult(r=r, probability=prob, loss=1.0 - prob,
-                            energy_au=energy_au,
                             z_start=float(table.z[i_start]), z_end=z_land,
                             flux_drift=flux_drift, steps=steps, rejected=0)
 

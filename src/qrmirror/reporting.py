@@ -51,8 +51,8 @@ def _write_csv(path, timestamp: bool, columns, rows, head=(), tail=(),
 def potential_table_json(table) -> dict:
     eh = CONSTANTS.hartree_neV
     nm = CONSTANTS.bohr_nm
-    fit = {"near_exponent": table.asymptotics.near_exponent,
-           "far_exponent": table.asymptotics.far_exponent}
+    fit = {"near_exponent": table.near_exponent,
+           "far_exponent": table.far_exponent}
     for power, value in ((3, table.c3), (4, table.c4), (5, table.c5)):
         fit[f"C{power}_Eh_a0{power}"] = value
         fit[f"C{power}_neV_nm{power}"] = (

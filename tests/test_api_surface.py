@@ -1,4 +1,5 @@
-"""Settable values of the numerical core, counted by one rule.
+"""The public surface: settable values counted by one rule, exports that
+have a reader, and the names the benchmark imports.
 
 A settable value is a parameter with a default, or a dataclass field with a
 default, on a public name (no leading underscore) defined in ``potential``,
@@ -8,13 +9,23 @@ this test keeps that number honest.  Run ``pytest tests/test_api_surface.py
 -s`` to print the names.
 """
 
+import ast
 import dataclasses
+import importlib.util
 import inspect
+from pathlib import Path
 
 from qrmirror import lifetimes, numerov, potential, reflection
 
 # the count ROADMAP aim 2 states
-SETTABLE_VALUES = 14
+SETTABLE_VALUES = 8
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qrmirror"
+BENCH = ROOT / "perfbench"
+# exported for the tests alone: acceptance criteria 7 and 9 read Q off the
+# grid with it
+TEST_ONLY_EXPORTS = {"badlands_q"}
 
 
 def _defaulted_parameters(func) -> list[str]:
@@ -56,3 +67,42 @@ def test_settable_value_count_matches_the_roadmap():
     names = settable_values()
     print("\n".join(names))
     assert len(names) == SETTABLE_VALUES, names
+
+
+def _imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every ``from module import name`` in ``path``."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names]
+
+
+def test_benchmark_imports_still_exist():
+    # the benchmark under perfbench/ runs this package as it is; a name it
+    # imports that is gone breaks every workload
+    wanted = [(module, name) for module, name
+              in _imports(BENCH / "workloads.py")
+              if module.split(".")[0] == "qrmirror"]
+    assert {module for module, _ in wanted} >= {"qrmirror", "qrmirror.cli"}
+    missing = [f"{module}.{name}" for module, name in wanted
+               if not (hasattr(importlib.import_module(module), name)
+                       or importlib.util.find_spec(f"{module}.{name}"))]
+    assert not missing
+
+
+def test_every_export_has_a_reader():
+    # a name the package exports is read (loaded as a name or an attribute)
+    # somewhere in src/ or perfbench/ besides the export itself
+    init = PACKAGE / "__init__.py"
+    exports = {name for _, name in _imports(init)}
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
+        if path == init:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    assert sorted(exports - read) == sorted(TEST_ONLY_EXPORTS)

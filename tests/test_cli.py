@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrmirror import cli, optics, potential
 from qrmirror.constants import CONSTANTS
-from qrmirror.reflection import solve_reflection
+from qrmirror.reflection import SolveError, solve_reflection
 
 
 def test_help(run_cli):
@@ -603,3 +603,16 @@ def test_reproduce_fig1_structural(run_main, tmp_path):
     rows = [ln for ln in out.read_text().splitlines() if ln.startswith("fig1")]
     assert len(rows) == 2
     assert all(",pass," in r for r in rows)
+
+
+def test_reproduce_fig1_failed_solve_exits_1(run_main, monkeypatch, tmp_path):
+    # fig1 has no per-point error column: a failed solve is a numerical
+    # failure of the run, reported by main, not a traceback
+    def failing(table, energy_au):
+        raise SolveError("no WKB-exact region (test)")
+
+    monkeypatch.setattr(cli, "solve_reflection", failing)
+    cp = run_main("reproduce", "fig1", "--no-timestamp")
+    assert cp.returncode == 1
+    assert cp.stderr == "numerical failure: no WKB-exact region (test)\n"
+    assert not list(tmp_path.iterdir())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ def test_load_silicon_file():
     model = load_builtin("silicon")
     assert model.name == "silicon"
     assert model.static_epsilon == pytest.approx(11.87, rel=0.02)
+
+
+@pytest.mark.parametrize("name", ["tolerances", "../materials/silica",
+                                  "perfect_conductor", "graphene"])
+def test_load_builtin_takes_only_shipped_names(name):
+    # other files under materials/, or paths that lead back to a shipped
+    # one, are not shipped materials
+    with pytest.raises(MaterialFileError, match=(
+            rf"^unknown material '{re.escape(name)}'; "
+            r"shipped: diamond, silica, silicon$")):
+        load_builtin(name)
+    assert load_builtin("silica").name == "silica"
 
 
 def test_empty_oscillator_list_is_vacuum(tmp_path):

@@ -22,7 +22,6 @@ from qrmirror.potential import (
     PotentialTable,
     build_potential_table,
     build_solver_table,
-    extract_asymptotics,
     retarded_coefficient,
     retarded_reference,
     vdw_coefficient_integral,
@@ -566,11 +565,9 @@ def test_synthetic_c5_extraction():
 def test_extraction_requires_range():
     # under 2.5 decades the fits leave a note, and the table still builds
     tab = PotentialTable.from_power_law(1.0, 4.0, 1.0, 30.0, 24)
-    fit = extract_asymptotics(tab)
-    assert fit == tab.asymptotics
-    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
-    assert (fit.near_exponent, fit.far_exponent) == (None, None)
-    assert fit.notes == ["table spans only 1.48 decades"]
+    assert (tab.c3, tab.c4, tab.c5) == (None, None, None)
+    assert (tab.near_exponent, tab.far_exponent) == (None, None)
+    assert tab.fit_notes == ["table spans only 1.48 decades"]
 
 
 def test_end_decades_with_one_point_leave_notes():
@@ -579,11 +576,10 @@ def test_end_decades_with_one_point_leave_notes():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tab = PotentialTable.from_power_law(1.0, 4.0, 1.0, 1e20, 16)
-    fit = tab.asymptotics
-    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
-    assert (fit.near_exponent, fit.far_exponent) == (None, None)
-    assert fit.notes == ["near decade holds one point: no fit",
-                         "far decade holds one point: no fit"]
+    assert (tab.c3, tab.c4, tab.c5) == (None, None, None)
+    assert (tab.near_exponent, tab.far_exponent) == (None, None)
+    assert tab.fit_notes == ["near decade holds one point: no fit",
+                             "far decade holds one point: no fit"]
 
 
 def test_ends_that_are_not_power_laws_leave_notes():
@@ -591,12 +587,11 @@ def test_ends_that_are_not_power_laws_leave_notes():
     # last, so neither end meets its target and the table still builds
     z = np.geomspace(1.0, 1e5, 64)
     tab = PotentialTable(z, -1.0 / (z**2 * (1.0 + z)))
-    fit = tab.asymptotics
-    assert (fit.c3, fit.c4, fit.c5) == (None, None, None)
-    assert 2.5 < fit.near_exponent < 2.9
-    assert fit.far_exponent == pytest.approx(3.0, abs=1e-3)
-    assert fit.notes == [f"near exponent {fit.near_exponent:.3f} not ~3",
-                         f"far exponent {fit.far_exponent:.3f} not ~4 or ~5"]
+    assert (tab.c3, tab.c4, tab.c5) == (None, None, None)
+    assert 2.5 < tab.near_exponent < 2.9
+    assert tab.far_exponent == pytest.approx(3.0, abs=1e-3)
+    assert tab.fit_notes == [f"near exponent {tab.near_exponent:.3f} not ~3",
+                             f"far exponent {tab.far_exponent:.3f} not ~4 or ~5"]
 
 
 def test_build_table_validation():
