@@ -19,9 +19,10 @@ then decades of ln xi.  A sheet's decades run up to cq; a dielectric's
 end at 1e5 times its largest response scale if that is lower, where the
 integrand has fallen as xi^-4 and the rest is below 1e-14 of F.  The
 response scales include both poles of an overdamped oscillator, so no
-panel needs bisection: all panels of a block of q nodes go through one
-vectorised Gauss-Kronrod pass, which evaluates the reflection amplitudes
-once on every (xi, kappa) node pair.
+panel needs bisection: a table lays out the panels of all its q nodes once
+and runs them through the Gauss-Kronrod rule in vectorised passes of a
+fixed panel count, which evaluate the reflection amplitudes once on every
+(xi, kappa) node pair.
 
 The overall constant is not taken on trust: it is locked by two anchors that
 the perfect-conductor potential must reproduce simultaneously,
@@ -177,7 +178,7 @@ class MirrorSpec:
 # ---------------------------------------------------------------------------
 # xi quadrature of F(q): 21-point Gauss-Kronrod rule with its embedded
 # 10-point Gauss rule (the pair of QUADPACK's qk21), applied to the panels of
-# a whole block of q nodes at once
+# every q node of a table in passes of _PANELS panels
 
 
 # Kronrod nodes on [0, 1] and their weights; the odd-indexed nodes are the
@@ -218,32 +219,43 @@ _Q_LO, _Q_HI = 1e-6, 50.0
 # so its panels run to cq.
 _XI_CUT = 1e5
 _Q_PANEL = 2.0         # width of a q panel in ln q (at most)
-_BLOCK = 32            # q nodes per F evaluation, z rows per e^{-2qz} block
+_BLOCK = 32            # z rows per e^{-2qz} block
+# xi panels per Gauss-Kronrod pass: 5,376 nodes, 43 KB a temporary, however
+# many q nodes the table has; small passes would pay numpy's fixed cost per
+# call, large ones miss cache
+_PANELS = 256
 _LN10 = math.log(10.0)
 
 
 def _gauss_kronrod(f, lo, hi, log, owner, n):
-    """Integrals over xi of n owners and their summed |K21 - G10|, in one
-    pass: f(xi, owner) is evaluated once, on every node of every panel.
+    """Integrals over xi of n owners and their summed |K21 - G10|:
+    f(xi, owner) is evaluated once on every node of every panel, _PANELS
+    panels per pass, and each owner's panels are summed once at the end.
 
     Panel i belongs to owner[i] and spans [lo[i], hi[i]] in s = ln xi where
     log[i], else in xi.  No panel is bisected: _f_of_q lays the panels out
     from the response scales, a damped oscillator's poles among them.
     """
     half = 0.5 * (hi - lo)
-    t = 0.5 * (hi + lo)[:, None] + half[:, None] * _GK_X
-    xi = t.copy()
-    xi[log] = np.exp(t[log])
-    fx = f(xi, owner[:, None])
-    fx *= np.where(log[:, None], xi, 1.0) * half[:, None]
-    k = fx @ _GK_W
-    e = np.abs(k - fx @ _G_W)
+    mid = 0.5 * (hi + lo)
+    k = np.empty_like(lo)
+    e = np.empty_like(lo)
+    for i in range(0, lo.size, _PANELS):
+        p = slice(i, i + _PANELS)
+        h = half[p, None]
+        t = mid[p, None] + h * _GK_X
+        xi = np.exp(t, out=t, where=log[p, None])
+        fx = f(xi, owner[p, None])
+        fx *= np.where(log[p, None], xi, 1.0) * h
+        k[p] = fx @ _GK_W
+        e[p] = np.abs(k[p] - fx @ _G_W)
     return (np.bincount(owner, weights=k, minlength=n),
             np.bincount(owner, weights=e, minlength=n))
 
 
 def _f_of_q(mirror: MirrorSpec, q):
-    """F(q) and its xi error estimate (summed |K21 - G10|) on q nodes.
+    """F(q) and its xi error estimate (summed |K21 - G10|) on q nodes, all
+    of a table's at once: one panel layout, one ``_gauss_kronrod`` call.
 
     The xi range [0, hi] of each q is split into panels: [0, min(lo, hi)]
     in xi, then decades in s = ln xi from lo up to hi.  lo is 0.3 times the
@@ -266,10 +278,10 @@ def _f_of_q(mirror: MirrorSpec, q):
         lo = np.minimum(lo, 0.5 * mirror.sheet.eta * x)
     else:
         x_hi = np.minimum(x, _XI_CUT * max(scales))
-    # lo >= 1e-100 x keeps kappa^2 = (x/xi)^2 finite however thick a slab
-    # (it binds past about 1e88 nm on the solver grid); below it
-    # xi^2/x^2 < 1e-200, so the first panel sees a flat integrand
-    s_lo = np.log(np.maximum(lo, 1e-100 * x.max()))
+    # lo >= 1e-100 x, each node's own, keeps kappa^2 = (x/xi)^2 <= 1e200
+    # however thick a slab and however wide the grid; below it xi^2/x^2 <
+    # 1e-200, so the first panel sees a flat integrand
+    s_lo = np.log(np.maximum(lo, 1e-100 * x))
     s_x = np.log(x_hi)
     count = 1 + np.maximum(0.0, np.ceil((s_x - s_lo) / _LN10)).astype(np.intp)
     owner = np.repeat(np.arange(q.size), count)
@@ -308,14 +320,10 @@ def _potential(mirror: MirrorSpec, z):
     q = np.exp(t).ravel()
     w_k = half * q * np.tile(_GK_W, n)
     w_g = half * q * np.tile(_G_W, n)
-    f = np.empty_like(q)
-    f_err = np.empty_like(q)
     # an F that overflows (say, kappa^2 of a slab far thicker than the grid
     # is wide) is not finite, and QuadratureError reports it below
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, q.size, _BLOCK):
-            f[i:i + _BLOCK], f_err[i:i + _BLOCK] = _f_of_q(mirror,
-                                                           q[i:i + _BLOCK])
+        f, f_err = _f_of_q(mirror, q)
     wf, dwf, werr = w_k * f, (w_k - w_g) * f, w_k * f_err
     v = np.empty_like(z)
     err = np.empty_like(z)
@@ -353,10 +361,9 @@ def retarded_coefficient() -> float:
 
 
 def retarded_reference(z_au):
-    """V*(z) = -C4*/z^4, the reference used for potential ratio plots."""
-    z = np.asarray(z_au, dtype=float)
-    v = -retarded_coefficient() / z**4
-    return v if v.ndim else float(v)
+    """V*(z) = -C4*/z^4 on an array of z, the reference of potential ratio
+    plots."""
+    return -retarded_coefficient() / np.asarray(z_au, dtype=float)**4
 
 
 def vdw_coefficient_integral(mirror: MirrorSpec) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -309,14 +310,72 @@ def test_q_panel_width_changes_no_digits(monkeypatch):
 
 
 def test_block_size_changes_no_digits(monkeypatch):
-    # each q node's xi panels are its own, so eight times the q nodes per
-    # pass reach the same F on every node
-    tables = {kind: build_potential_table(mirror, 1e-8, 1e7, 48)
-              for kind, mirror in _KINDS.items()}
-    monkeypatch.setattr(potential, "_BLOCK", 256)
+    # a build lays out the xi panels of all its q nodes once, and each
+    # panel's K21 and G10 sums are its own, so passes of 64 panels, of 256
+    # and of all of them at once, and z rows in blocks of 32 or 256, reach
+    # the same V bit for bit (passes under 8 panels take BLAS's small-row
+    # path and may move last bits)
+    calls, panels = [], []
+    f_of_q, gauss_kronrod = potential._f_of_q, potential._gauss_kronrod
+
+    def counted(mirror, q):
+        calls.append(q.size)
+        return f_of_q(mirror, q)
+
+    def sized(f, lo, *rest):
+        panels.append(lo.size)
+        return gauss_kronrod(f, lo, *rest)
+
+    monkeypatch.setattr(potential, "_f_of_q", counted)
+    monkeypatch.setattr(potential, "_gauss_kronrod", sized)
     for kind, mirror in _KINDS.items():
+        calls.clear()
+        panels.clear()
         v = build_potential_table(mirror, 1e-8, 1e7, 48).V
-        np.testing.assert_array_equal(tables[kind].V, v, err_msg=kind)
+        assert len(calls) == 1, kind
+        sizes = [("_BLOCK", 256)]
+        if kind != "pc":    # the perfect conductor's F has no xi panels
+            assert panels[0] > potential._PANELS, kind
+            sizes += [("_PANELS", 64), ("_PANELS", panels[0] + 1)]
+        for name, size in sizes:
+            with monkeypatch.context() as m:
+                m.setattr(potential, name, size)
+                np.testing.assert_array_equal(
+                    build_potential_table(mirror, 1e-8, 1e7, 48).V, v,
+                    err_msg=f"{kind}, {name} = {size}")
+
+
+def test_build_memory():
+    # the xi panels go through the rule _PANELS at a time, so a build's
+    # temporaries do not grow with its panel count: a 480-point solver
+    # table peaks at 0.50-0.81 MB (3.1-5.9 MB with all panels in one pass)
+    peaks = {}
+    for name, mirror in _mirror_registry().items():
+        tracemalloc.start()
+        try:
+            build_solver_table(mirror, 480)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= 1.5e6, peaks
+
+
+def test_wide_grid_keeps_each_node_panels(monkeypatch):
+    # the 1e-100 cq floor under a node's first xi panel is the node's own:
+    # on a grid 1e120 wide, a floor taken from the table's largest cq would
+    # sit far above graphene's knee (0.0115 cq) and fail the error check.
+    # A node's F is the same as when F is taken 32 q nodes at a time
+    sheet = _KINDS["sheet"]
+    v = build_potential_table(sheet, 1e-60, 1e60, 48).V
+    f_of_q = potential._f_of_q
+
+    def blocked(mirror, q):
+        parts = [f_of_q(mirror, q[i:i + 32]) for i in range(0, q.size, 32)]
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+    monkeypatch.setattr(potential, "_f_of_q", blocked)
+    np.testing.assert_allclose(
+        build_potential_table(sheet, 1e-60, 1e60, 48).V, v, rtol=4e-16, atol=0)
 
 
 def test_response_scales_are_the_oscillator_poles():
@@ -369,7 +428,9 @@ def test_pc_agrees_with_huge_epsilon_bulk():
 
 def test_retarded_reference_constant():
     assert retarded_coefficient() == pytest.approx(73.6, rel=1e-3)
-    assert retarded_reference(10.0) == pytest.approx(-73.6 / 1e4, rel=1e-3)
+    v = retarded_reference(np.array([10.0]))
+    assert v.shape == (1,)
+    assert v[0] == pytest.approx(-73.6 / 1e4, rel=1e-3)
 
 
 # -- closed-form C3 anchor ---------------------------------------------------
