@@ -226,15 +226,10 @@ def _cmd_badlands(args) -> int:
                          f"digits, got {args.height_cm} cm")
     table = build_potential_table(mirror, args.z_min_a0, args.z_max_a0,
                                   args.points)
-    profiles = {}
-    peaks = {}
-    for h in heights:
-        energy = CONSTANTS.energy_au_from_height(h)
-        prof = badlands_profile(table, energy)
-        profiles[h] = prof.q
-        peaks[h] = (prof.peak_z, prof.peak_q)
+    profiles = {h: badlands_profile(table, CONSTANTS.energy_au_from_height(h))
+                for h in heights}
     _emit(args, f"badlands_{_mirror_slug(mirror)}", reporting.badlands_csv,
-          reporting.badlands_json, table.z, profiles, peaks)
+          reporting.badlands_json, table.z, profiles)
     return 0
 
 

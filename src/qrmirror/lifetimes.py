@@ -102,7 +102,7 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
     for z, cp, cm, phi, _ in _march(table, 0.0, float(grid[i]), sigma[i],
                                     _READ_OUTS_A0):
         w = cp * cmath.exp(2j * phi)
-        p = math.sqrt(-2.0 * _M * table.potential(z))
+        p = math.sqrt(-2.0 * _M * table.derivatives_scalar(z)[0])
         reads.append(z - (w + cm) / (1j * p * (w - cm)))
     a1, a2 = reads
     e1, e2 = -a1.imag, -a2.imag

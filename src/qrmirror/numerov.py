@@ -108,10 +108,10 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     two_m = 2.0 * _M
 
     def wavevector(z):
-        return np.sqrt(two_m * (energy_au - table.potential(z)))
+        return math.sqrt(two_m * (energy_au - table.derivatives_scalar(z)[0]))
 
     ppw = float(_POINTS_PER_WAVELENGTH)
-    v0 = table.potential(z_start)
+    v0 = table.derivatives_scalar(z_start)[0]
     k0 = math.sqrt(two_m * (energy_au - v0))
     h = 2.0 * math.pi / (k0 * ppw)
     if z_start + h >= z_end:
@@ -129,7 +129,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         z_last, h, seed, total_points, bound = states[n - 1]
     else:
         # WKB seed for the incoming wave at the two leading points, (Re, Im)
-        v2 = table.potential(z_start + h)
+        v2 = table.derivatives_scalar(z_start + h)[0]
         k2 = math.sqrt(two_m * (energy_au - v2))
         phi12, v_top = _phase_between(table, energy_au, z_start, z_start + h)
         psi2 = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
@@ -247,7 +247,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
 
     # project the last stretch onto the WKB basis; pick a second matching
     # point a quarter wavelength back so the 2x2 system is well conditioned
-    k_end = float(wavevector(z_last))
+    k_end = wavevector(z_last)
     # the last chunk's own spacing: h is already doubled when the march
     # stops at the table end right after a doubling
     dz = float(z_tail[1] - z_tail[0])
@@ -255,7 +255,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     j2 = len(z_tail) - 1
     j1 = max(0, j2 - quarter)
     za, zb = float(z_tail[j1]), float(z_tail[j2])
-    ka, kb = float(wavevector(za)), float(wavevector(zb))
+    ka, kb = wavevector(za), wavevector(zb)
     dphi = _phase_between(table, energy_au, za, zb)[0]
     # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
     m11 = 1.0 / math.sqrt(ka)

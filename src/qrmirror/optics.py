@@ -98,9 +98,12 @@ class Polarizability:
     def alpha(self, xi):
         xi = np.asarray(xi, dtype=float)
         a = np.zeros_like(xi)
+        # u * u, not u ** 2: on an array ** 2 is u * u, on a float it is
+        # pow(), which may differ in the last bit
         for s, w in self.oscillators:
-            a = a + s / (1.0 + (xi / w) ** 2)
-        return a if a.ndim else float(a)
+            u = xi / w
+            a = a + s / (1.0 + u * u)
+        return a
 
     @property
     def static(self) -> float:
@@ -141,11 +144,8 @@ def fresnel(eps, kappa):
     r_TM = (eps*kappa - s)/(eps*kappa + s), r_TE = (kappa - s)/(kappa + s).
     For eps >= 1 these satisfy 0 <= r_TM <= 1 and -1 <= r_TE <= 0.
     """
-    r_tm, r_te, _ = _fresnel_s(np.asarray(eps, dtype=float),
-                               np.asarray(kappa, dtype=float))
-    if r_tm.ndim or r_te.ndim:
-        return r_tm, r_te
-    return float(r_tm), float(r_te)
+    return _fresnel_s(np.asarray(eps, dtype=float),
+                      np.asarray(kappa, dtype=float))[:2]
 
 
 def _fresnel_s(eps, kappa):
@@ -169,9 +169,7 @@ def slab_reflection(model: DielectricModel, thickness_au: float, xi, kappa):
     grow = -np.expm1(minus_two_delta)  # 1 - e^{-2 delta}
     r_tm_slab = r_tm * grow / (1.0 - r_tm * r_tm * decay)
     r_te_slab = r_te * grow / (1.0 - r_te * r_te * decay)
-    if np.ndim(r_tm_slab):
-        return r_tm_slab, r_te_slab
-    return float(r_tm_slab), float(r_te_slab)
+    return r_tm_slab, r_te_slab
 
 
 def sheet_reflection(sheet: SheetModel, xi, kappa):
@@ -185,9 +183,7 @@ def sheet_reflection(sheet: SheetModel, xi, kappa):
     y = 0.5 * sheet.eta / kappa
     r_tm = x / (1.0 + x)
     r_te = -y / (1.0 + y)
-    if r_tm.ndim:
-        return r_tm, r_te
-    return float(r_tm), float(r_te)
+    return r_tm, r_te
 
 
 def bruggeman_mix(host: DielectricModel, porosity: float, xi):
@@ -207,9 +203,7 @@ def bruggeman_mix(host: DielectricModel, porosity: float, xi):
     b = 2.0 * eps_m - 1.0 - 3.0 * f * (eps_m - 1.0)
     root = np.sqrt(b * b + 8.0 * eps_m)
     eps_eff = np.where(b >= 0, 0.25 * (b + root), 2 * eps_m / (root + abs(b)))
-    if eps_eff.ndim:
-        return eps_eff
-    return float(eps_eff)
+    return eps_eff[()]   # a scalar xi's 0-d np.where result as np.float64
 
 
 def key_value_lines(path, error=MaterialFileError):

@@ -79,28 +79,30 @@ class MirrorSpec:
     sheet: SheetModel | None = None
     porosity: float | None = None
 
-    _KINDS = ("perfect_conductor", "bulk", "slab", "sheet", "porous")
+    # the fields each kind reads; it needs them, and takes no other
+    _READS = {"perfect_conductor": (), "bulk": ("dielectric",),
+              "slab": ("dielectric", "thickness_au"), "sheet": ("sheet",),
+              "porous": ("dielectric", "porosity")}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        reads = (self._READS.get(self.kind) if isinstance(self.kind, str)
+                 else None)
+        if reads is None:
             raise ValueError(f"unknown mirror kind {self.kind!r}")
-        if self.kind in ("bulk", "slab", "porous"):
-            if self.dielectric is None:
-                raise ValueError(f"{self.kind} mirror needs a dielectric model")
-            if self.dielectric.is_vacuum:
-                raise ValueError("vacuum is not a mirror")
-        if self.kind == "slab":
-            if self.thickness_au is None or not 0 < self.thickness_au < math.inf:
-                raise ValueError("slab mirror needs a finite thickness > 0, "
-                                 f"got {self.thickness_au}")
-        if self.kind == "sheet" and self.sheet is None:
-            raise ValueError("sheet mirror needs a SheetModel")
-        if self.kind == "porous":
-            if self.porosity is None or not 0.0 <= self.porosity < 1.0:
-                raise ValueError("porosity must be in [0, 1) (1 leaves vacuum: "
-                                 f"not a mirror), got {self.porosity}")
-        elif self.porosity is not None:
-            raise ValueError(f"a {self.kind} mirror takes no porosity")
+        for name in ("dielectric", "thickness_au", "sheet", "porosity"):
+            unset = getattr(self, name) is None
+            if name in reads and unset:
+                raise ValueError(f"{self.kind} mirror needs a {name}")
+            if name not in reads and not unset:
+                raise ValueError(f"a {self.kind} mirror takes no {name}")
+        if "dielectric" in reads and self.dielectric.is_vacuum:
+            raise ValueError("vacuum is not a mirror")
+        if "thickness_au" in reads and not 0 < self.thickness_au < math.inf:
+            raise ValueError("slab mirror needs a finite thickness > 0, "
+                             f"got {self.thickness_au}")
+        if "porosity" in reads and not 0.0 <= self.porosity < 1.0:
+            raise ValueError("porosity must be in [0, 1) (1 leaves vacuum: "
+                             f"not a mirror), got {self.porosity}")
 
     @classmethod
     def perfect_conductor(cls) -> "MirrorSpec":
@@ -505,14 +507,15 @@ class PotentialTable:
 
     Grid: log-uniform (``np.geomspace``): steps of t = ln z equal within
     1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
-    of a natural cubic spline of ln|V| against t, fitted once.  The scalar
-    path (``derivatives_scalar``: (V, V') at one z, for a scalar
-    ``potential`` and Numerov's chunk ends) and the array paths
-    (``potential``, and ``taylor``, which the amplitude solver reads) take
-    segment int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding
-    alone.  Grid read (``grid_taylor``): ``taylor`` on the table's own z
-    to order 5, made on first use and kept, since the solver's badlands Q
-    and launch series there do not depend on the energy.  Range: z outside
+    of a natural cubic spline of ln|V| against t, fitted once.  Two array
+    reads (``potential``, on z of any shape, and ``taylor``, which the
+    amplitude solver reads) and one scalar read (``derivatives_scalar``:
+    (V, V') at one z in plain floats, for Numerov's seed, chunk ends and end
+    projection and the scattering length's read-outs) take segment
+    int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding alone.
+    Grid read (``grid_taylor``): ``taylor`` on the table's own z to order
+    5, made on first use and kept, since the solver's badlands Q and launch
+    series there do not depend on the energy.  Range: z outside
     [z_min, z_max], with 1e-12 slack in ln z, raises ValueError; nothing is
     extrapolated.  V < 0 and strictly increasing toward zero for every
     physical mirror; the all-zero table is the free-space degenerate case
@@ -570,13 +573,12 @@ class PotentialTable:
         return i, t
 
     def potential(self, z_au):
-        """Interpolated V(z) (Hartree); accepts scalars or arrays."""
+        """Interpolated V(z) (Hartree) on z of any shape; a 0-d z gives an
+        ``np.float64``, the same float as in a 1-element array."""
         z = np.asarray(z_au, dtype=float)
-        if not z.ndim:
-            return self.derivatives_scalar(float(z))[0]
-        i, s = self._segments(z)
+        i, s = self._segments(z.reshape(-1))
         if self.is_null:
-            return np.zeros_like(z)
+            return np.zeros_like(z)[()]
         # ((c0 s + c1) s + c2) s + c3 and exp in place on the gathered rows:
         # the same operations in the same order, without temporaries; one
         # gather per row, so the V returned holds only its own floats
@@ -585,12 +587,13 @@ class PotentialTable:
             c0 *= s
             c0 += c
         np.exp(c0, out=c0)
-        return np.negative(c0, out=c0)
+        return np.negative(c0, out=c0).reshape(z.shape)[()]
 
     def derivatives_scalar(self, z: float) -> tuple[float, float]:
         """(V, V') at a single z in plain floats: a_0 and a_1/z of
-        ``taylor``."""
-        t = math.log(z)
+        ``taylor``.  A z outside the table, z <= 0 and NaN among them, is
+        the ValueError of the array reads."""
+        t = math.log(z) if z > 0 else -math.inf
         if not self._t_lo <= t <= self._t_hi:
             raise ValueError(f"z = {z:g} outside table range")
         if self.is_null:

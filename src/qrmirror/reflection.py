@@ -87,8 +87,7 @@ def badlands_q(table: PotentialTable, energy_au: float, z_au):
     """Q(z) evaluated from analytic derivatives of the table interpolant."""
     _check_energy(energy_au)
     z = np.asarray(z_au, dtype=float)
-    q = _badlands(energy_au, z, table.taylor(z, 2))
-    return q if q.ndim else float(q)
+    return _badlands(energy_au, z, table.taylor(z, 2))
 
 
 def _badlands(energy_au: float, z, a):
@@ -98,7 +97,8 @@ def _badlands(energy_au: float, z, a):
     p = np.sqrt(p_sq)
     dp = -_M * vp / p
     d2p = -_M * vpp / p - _M**2 * vp * vp / (p * p_sq)
-    schwarzian = d2p / p - 1.5 * (dp / p) ** 2
+    u = dp / p   # squared as u * u, which a float's pow() may not match
+    schwarzian = d2p / p - 1.5 * (u * u)
     return schwarzian / (2.0 * p_sq)
 
 

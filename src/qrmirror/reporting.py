@@ -130,21 +130,20 @@ def lifetime_csv(rows, path, timestamp: bool = True) -> None:
                 for m, p, a, t, r in out["rows"]))
 
 
-def badlands_json(z, profiles, peaks) -> dict:
-    """profiles: dict height_m -> Q array on z; peaks: height_m -> (z*, Q*)."""
-    heights = list(profiles)
+def badlands_json(z, profiles) -> dict:
+    """profiles: dict height_m -> ``BadlandsProfile`` on z."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "peaks": {f"{h:g}": {"z_a0": pz, "Q": pq}
-                  for h, (pz, pq) in peaks.items()},
-        "columns": ["z_a0"] + [f"Q_h_m_{h:g}" for h in heights],
-        "rows": [[float(z[i])] + [float(profiles[h][i]) for h in heights]
+        "peaks": {f"{h:g}": {"z_a0": p.peak_z, "Q": p.peak_q}
+                  for h, p in profiles.items()},
+        "columns": ["z_a0"] + [f"Q_h_m_{h:g}" for h in profiles],
+        "rows": [[float(z[i])] + [float(p.q[i]) for p in profiles.values()]
                  for i in range(len(z))],
     }
 
 
-def badlands_csv(z, profiles, peaks, path, timestamp: bool = True) -> None:
-    out = badlands_json(z, profiles, peaks)
+def badlands_csv(z, profiles, path, timestamp: bool = True) -> None:
+    out = badlands_json(z, profiles)
     head = [f"# peak h_m={h}: z_a0={p['z_a0']:.6e} Q={p['Q']:.6e}"
             for h, p in out["peaks"].items()]
     _write_csv(path, timestamp, out["columns"], out["rows"], head=head)

@@ -14,9 +14,12 @@ from qrmirror.optics import (
     DielectricModel,
     Oscillator,
     SheetModel,
+    bruggeman_mix,
     fresnel,
     graphene_sheet,
     load_builtin,
+    sheet_reflection,
+    slab_reflection,
 )
 from qrmirror.potential import (
     MirrorSpec,
@@ -28,6 +31,7 @@ from qrmirror.potential import (
     vdw_coefficient_integral,
 )
 from qrmirror import potential
+from qrmirror.reflection import badlands_profile, badlands_q
 from qrmirror.reporting import potential_table_csv
 
 PC = MirrorSpec.perfect_conductor()
@@ -55,8 +59,9 @@ def test_mirror_validation():
         MirrorSpec.slab(si, -1.0)
     with pytest.raises(ValueError):
         MirrorSpec(kind="bulk")
-    with pytest.raises(ValueError):
-        MirrorSpec(kind="nonsense")
+    for kind in ("nonsense", ["bulk"]):
+        with pytest.raises(ValueError, match="unknown mirror kind"):
+            MirrorSpec(kind=kind)
     with pytest.raises(ValueError):
         MirrorSpec.porous(si, 1.5)
     for thickness in (math.inf, math.nan):
@@ -67,6 +72,14 @@ def test_mirror_validation():
     # the lifetime report reads the porosity of any mirror
     with pytest.raises(ValueError, match="takes no porosity"):
         MirrorSpec(kind="bulk", dielectric=si, porosity=0.5)
+    # nor any other field its kind does not read: a sheet's dielectric
+    # would move its xi panels, and a bulk's thickness goes unread
+    with pytest.raises(ValueError, match="sheet mirror takes no dielectric"):
+        MirrorSpec(kind="sheet", sheet=graphene_sheet(),
+                   dielectric=load_builtin("silica"))
+    with pytest.raises(ValueError, match="bulk mirror takes no thickness"):
+        MirrorSpec(kind="bulk", dielectric=load_builtin("silica"),
+                   thickness_au=94.5)
 
 
 def test_mirror_labels():
@@ -761,7 +774,37 @@ def test_scalar_and_array_paths_agree(pc_table):
     for a, s in zip(array[:2], scalar, strict=True):
         assert np.max(np.abs(s - a) / np.abs(a)) <= 1e-15
     assert np.array_equal(pc_table.potential(z), array[0])
-    assert pc_table.potential(z[-1]) == scalar[0][-1]
+    # a scalar z is read as a 1-element array
+    assert pc_table.potential(z[-1]) == array[0][-1]
+
+
+_E30 = CONSTANTS.energy_au_from_height(0.30)
+_SPREAD = np.geomspace(1e-6, 1e6, 1_001)   # xi (Eh) and kappa - 1
+
+
+@pytest.mark.parametrize("read, inputs", [
+    (lambda tab, x: (tab.potential(x),), None),
+    (lambda tab, x: (badlands_q(tab, _E30, x),), None),
+    (lambda tab, x: fresnel(1.0 + x, 1.0 + x), _SPREAD),
+    (lambda tab, x: slab_reflection(_SILICA, 94.5, x, 1.0 + x), _SPREAD),
+    (lambda tab, x: sheet_reflection(graphene_sheet(), x, 1.0 + x), _SPREAD),
+    (lambda tab, x: (bruggeman_mix(_SILICA, 0.98, x),), _SPREAD),
+    (lambda tab, x: (DEFAULT_POLARIZABILITY.alpha(x),), _SPREAD),
+], ids=["potential", "badlands_q", "fresnel", "slab_reflection",
+        "sheet_reflection", "bruggeman_mix", "alpha"])
+def test_a_scalar_reads_as_its_one_element_array(pc_table, read, inputs):
+    # one path serves every shape: a float in gives np.float64s out, bit
+    # for bit those of the same float in a 1-element array; the table's
+    # reads run over 10,001 z across the perfect-conductor solver table
+    if inputs is None:
+        inputs = np.geomspace(pc_table.z_min, pc_table.z_max, 10_001)
+    scalar = [read(pc_table, float(x)) for x in inputs]
+    array = [read(pc_table, np.array([x])) for x in inputs]
+    assert {a.shape for row in array for a in row} == {(1,)}
+    bits = np.array(scalar, dtype=float).view(np.int64)
+    differ = np.count_nonzero(bits != np.array(array)[..., 0].view(np.int64))
+    assert differ == 0, f"{differ} of {inputs.size} inputs"
+    assert {type(v) for row in scalar for v in row} == {np.float64}
 
 
 def test_taylor_coefficients_match_the_derivatives_and_a_power_law(pc_table):
@@ -790,8 +833,6 @@ def test_grid_read_is_the_taylor_read_on_the_grid(request, registry_table,
     # only, they are taylor() there, and the lower orders taylor() gives
     # anywhere are their first rows, so every reading of them is the
     # reading taylor() gives, bit for bit
-    from qrmirror.reflection import badlands_profile, badlands_q
-
     shared = (request.getfixturevalue(name) if name.startswith("pure_")
               else registry_table(name))
     table = PotentialTable(shared.z, shared.V, shared.label)
@@ -817,7 +858,7 @@ def test_grid_read_is_the_taylor_read_on_the_grid(request, registry_table,
 def test_both_paths_raise_outside_the_table(make):
     tab = make()
     for z in (tab.z_min * (1 - 1e-9), tab.z_max * (1 + 1e-9), 1e-9, 1e8,
-              math.nan):
+              math.nan, 0.0, -1.0):
         with pytest.raises(ValueError, match="outside table range"):
             tab.derivatives_scalar(z)
         with pytest.raises(ValueError, match="outside table range"):

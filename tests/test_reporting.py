@@ -97,19 +97,21 @@ def test_lifetime_rows(tmp_path):
 
 
 def test_badlands_profiles(tmp_path, c4_table):
-    profiles, peaks = {}, {}
-    for h in (0.1, 0.3):
-        prof = badlands_profile(c4_table, CONSTANTS.energy_au_from_height(h))
-        profiles[h] = prof.q
-        peaks[h] = (prof.peak_z, prof.peak_q)
+    profiles = {h: badlands_profile(c4_table,
+                                    CONSTANTS.energy_au_from_height(h))
+                for h in (0.1, 0.3)}
     comments, rows, payload = _both(tmp_path, reporting.badlands_csv,
                                     reporting.badlands_json, c4_table.z,
-                                    profiles, peaks)
+                                    profiles)
     _assert_rows_agree(rows, payload)
     assert len(comments) == len(payload["peaks"]) == 2
-    for line, (h, peak) in zip(comments, payload["peaks"].items()):
+    for line, (h, peak), prof in zip(comments, payload["peaks"].items(),
+                                     profiles.values(), strict=True):
         assert line == (f"# peak h_m={h}: z_a0={peak['z_a0']:.6e} "
                         f"Q={peak['Q']:.6e}")
+        assert (peak["z_a0"], peak["Q"]) == (prof.peak_z, prof.peak_q)
+    assert [row[1:] for row in payload["rows"]] == [
+        list(q) for q in zip(*(p.q.tolist() for p in profiles.values()))]
 
 
 def test_comparison_cells(tmp_path):
