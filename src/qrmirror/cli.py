@@ -248,10 +248,10 @@ def _cmd_lifetime(args) -> int:
 # -- reproduce --------------------------------------------------------------
 
 
-def load_tolerances(path=_TOLERANCES_PATH) -> dict:
+def load_tolerances() -> dict:
     """Parse the shipped reference/tolerance data file."""
     refs = {}
-    for where, key, value in key_value_lines(path, ValueError):
+    for where, key, value in key_value_lines(_TOLERANCES_PATH, ValueError):
         parts = value.split()
         if len(parts) != 3 or parts[1] not in ("rel", "abs"):
             raise ValueError(f"{where}: expected 'ref rel|abs tol'")

@@ -99,10 +99,11 @@ def scattering_length(table: PotentialTable) -> ScatteringLength:
             f"{table.label}: the zero-energy WKB wave is not exact to "
             f"{0.25 * _EDGE_TOL:g} at the near edge z = {table.z_min:g} a0")
     reads = []
-    for z, cp, cm, phi, _ in _march(table, 0.0, float(grid[i]), sigma[i],
-                                    _READ_OUTS_A0):
+    for (z, cp, cm, phi, _), v in zip(
+            _march(table, 0.0, float(grid[i]), sigma[i], _READ_OUTS_A0),
+            table.potential(_READ_OUTS_A0)):
         w = cp * cmath.exp(2j * phi)
-        p = math.sqrt(-2.0 * _M * table.derivatives_scalar(z)[0])
+        p = math.sqrt(-2.0 * _M * v)
         reads.append(z - (w + cm) / (1j * p * (w - cm)))
     a1, a2 = reads
     e1, e2 = -a1.imag, -a2.imag

@@ -66,7 +66,7 @@ class DielectricModel:
         eps = np.ones_like(xi)
         for osc in self.oscillators:
             eps = eps + osc.plasma_sq / (osc.resonance_sq + xi * xi + osc.damping * xi)
-        return eps
+        return eps[()]
 
     @property
     def static_epsilon(self) -> float:
@@ -103,7 +103,7 @@ class Polarizability:
         for s, w in self.oscillators:
             u = xi / w
             a = a + s / (1.0 + u * u)
-        return a
+        return a[()]
 
     @property
     def static(self) -> float:

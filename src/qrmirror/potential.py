@@ -507,12 +507,12 @@ class PotentialTable:
 
     Grid: log-uniform (``np.geomspace``): steps of t = ln z equal within
     1e-9 relative, else ValueError.  Evaluator: the (4, n-1) coefficients
-    of a natural cubic spline of ln|V| against t, fitted once.  Two array
-    reads (``potential``, on z of any shape, and ``taylor``, which the
-    amplitude solver reads) and one scalar read (``derivatives_scalar``:
-    (V, V') at one z in plain floats, for Numerov's seed, chunk ends and end
-    projection and the scattering length's read-outs) take segment
-    int((t - t0)/dt) clipped to [0, n-2]; they differ by rounding alone.
+    of a natural cubic spline of ln|V| against t, fitted once.  One array
+    read (``taylor``, on z of any shape; ``potential`` is its order-0 row)
+    and one scalar read (``derivatives_scalar``: (V, V') at one z in plain
+    floats, for the Numerov oracle's seed, chunk ends and end projection)
+    take segment int((t - t0)/dt) clipped to [0, n-2]; they differ by
+    rounding alone.
     Grid read (``grid_taylor``): ``taylor`` on the table's own z to order
     5, made on first use and kept, since the solver's badlands Q and launch
     series there do not depend on the energy.  Range: z outside
@@ -573,26 +573,15 @@ class PotentialTable:
         return i, t
 
     def potential(self, z_au):
-        """Interpolated V(z) (Hartree) on z of any shape; a 0-d z gives an
-        ``np.float64``, the same float as in a 1-element array."""
-        z = np.asarray(z_au, dtype=float)
-        i, s = self._segments(z.reshape(-1))
-        if self.is_null:
-            return np.zeros_like(z)[()]
-        # ((c0 s + c1) s + c2) s + c3 and exp in place on the gathered rows:
-        # the same operations in the same order, without temporaries; one
-        # gather per row, so the V returned holds only its own floats
-        c0, c1, c2, c3 = (row.take(i) for row in self._c)
-        for c in (c1, c2, c3):
-            c0 *= s
-            c0 += c
-        np.exp(c0, out=c0)
-        return np.negative(c0, out=c0).reshape(z.shape)[()]
+        """Interpolated V(z) (Hartree) on z of any shape: ``taylor``'s
+        order-0 row, so a 0-d z gives an ``np.float64``, the same float as
+        in a 1-element array."""
+        return self.taylor(z_au, 0)[0]
 
     def derivatives_scalar(self, z: float) -> tuple[float, float]:
         """(V, V') at a single z in plain floats: a_0 and a_1/z of
         ``taylor``.  A z outside the table, z <= 0 and NaN among them, is
-        the ValueError of the array reads."""
+        the ValueError of the array read."""
         t = math.log(z) if z > 0 else -math.inf
         if not self._t_lo <= t <= self._t_hi:
             raise ValueError(f"z = {z:g} outside table range")
@@ -612,34 +601,40 @@ class PotentialTable:
 
     def taylor(self, z_au, order: int):
         """Coefficients a_k = z^k V^(k)(z) / k!, k = 0..order, of
-        V(z (1 + u)) = Sum_k a_k u^k on an array of z, from the log-log
-        spline; shape (order + 1,) + z.shape.
+        V(z (1 + u)) = Sum_k a_k u^k on z of any shape, from the log-log
+        spline; shape (order + 1,) + z.shape.  The table's one array read.
 
         ln(z (1 + u)) is the segment's s plus the series of ln(1 + u), the
         cubic in s is composed with it, and exp through the recurrence
-        k b_k = Sum_j j w_j b_{k-j}; every series is cut after u^order.
-        Each z is read on its own, and the rows of a lower order are the
-        first rows of a higher one, bit for bit, so the order-5 read of the
-        table's own grid that ``grid_taylor`` keeps serves every lower
-        order there.
+        k b_k = Sum_j j w_j b_{k-j}; every series is cut after u^order.  Row
+        0, -exp of the cubic alone, is V.  Each z is read on its own, and
+        the rows of a lower order are the first rows of a higher one, bit
+        for bit, so the order-5 read of the table's own grid that
+        ``grid_taylor`` keeps serves every lower order there.
         """
         z = np.asarray(z_au, dtype=float)
-        i, s = self._segments(z)
+        i, s = self._segments(z.reshape(-1))
         n = order + 1
         if self.is_null:
             return np.zeros((n,) + z.shape)
-        c0, c1, c2, c3 = self._c.take(i, axis=1)
-        # the cubic's Taylor coefficients in s, composed with the powers
-        w = sum(np.multiply.outer(pw, d) for pw, d in zip(_log1p_powers(n), (
-            ((c0 * s + c1) * s + c2) * s + c3,
-            (3.0 * c0 * s + 2.0 * c1) * s + c2,
-            3.0 * c0 * s + c1,
-            c0)))
-        b = np.empty_like(w)
-        b[0] = np.exp(w[0])
+        b = np.empty((n, i.size))
+        # c0 straight into row 0 (i is clipped; mode="raise" buffers out=)
+        c0 = self._c[0].take(i, out=b[0], mode="clip")
+        c1, c2, c3 = self._c[1:].take(i, axis=1)
+        # the cubic's Taylor coefficients in s past the value, only those
+        # the order reaches, composed with ln(1 + u)^j, which starts at u^j
+        w = sum(np.multiply.outer(pw[1:], d()) for pw, d in zip(
+            _log1p_powers(n)[1:], (lambda: (3.0 * c0 * s + 2.0 * c1) * s + c2,
+                                   lambda: 3.0 * c0 * s + c1, lambda: c0)))
+        # row 0: ((c0 s + c1) s + c2) s + c3, exp and the sign, in place;
+        # the recurrence is linear in b, so it carries -b as it is
+        for c in (c1, c2, c3):
+            c0 *= s
+            c0 += c
+        np.negative(np.exp(c0, out=c0), out=c0)
         for m in range(1, n):
-            b[m] = sum(j * w[j] * b[m - j] for j in range(1, m + 1)) / m
-        return -b
+            b[m] = sum(j * w[j - 1] * b[m - j] for j in range(1, m + 1)) / m
+        return b.reshape((n,) + z.shape)
 
     @functools.cached_property
     def grid_taylor(self) -> np.ndarray:
@@ -661,9 +656,9 @@ class PotentialTable:
         return float(self.z[-1])
 
     def ratio_to_retarded(self):
-        """V / V* on the grid, V*(z) = -C4*/z^4 (perfect-conductor retarded
-        limit)."""
-        return self.potential(self.z) / retarded_reference(self.z)
+        """V / V* of the table's own V on its grid, V*(z) = -C4*/z^4
+        (perfect-conductor retarded limit)."""
+        return self.V / retarded_reference(self.z)
 
     @classmethod
     def from_power_law(cls, coefficient: float, exponent: float,

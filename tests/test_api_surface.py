@@ -1,5 +1,6 @@
 """The public surface: settable values counted by one rule, exports that
-have a reader, and the names the benchmark imports.
+have a reader, the names the benchmark imports, and the reads of the
+potential table's spline.
 
 A settable value is a parameter with a default, or a dataclass field with a
 default, on a public name (no leading underscore) defined in ``potential``,
@@ -26,6 +27,9 @@ BENCH = ROOT / "perfbench"
 # exported for the tests alone: acceptance criteria 7 and 9 read Q off the
 # grid with it
 TEST_ONLY_EXPORTS = {"badlands_q"}
+# PotentialTable's spline: its coefficients and the plain-float copies of
+# them and of the knots
+SPLINE_FIELDS = {"_c", "_c0", "_c1", "_c2", "_c3", "_knots"}
 
 
 def _defaulted_parameters(func) -> list[str]:
@@ -106,3 +110,19 @@ def test_every_export_has_a_reader():
                   and isinstance(node.ctx, ast.Load)):
                 read.add(node.attr)
     assert sorted(exports - read) == sorted(TEST_ONLY_EXPORTS)
+
+
+def test_the_spline_has_one_array_read_and_one_scalar_read():
+    # ROADMAP aim 2, one interpolation path: besides __init__, which fits
+    # the spline, only taylor (every array read; potential is its order-0
+    # row) and the Numerov oracle's derivatives_scalar read its fields
+    tree = ast.parse((PACKAGE / "potential.py").read_text())
+    table = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                 and node.name == "PotentialTable")
+    readers = {method.name for method in table.body
+               if isinstance(method, ast.FunctionDef)
+               for node in ast.walk(method)
+               if isinstance(node, ast.Attribute)
+               and isinstance(node.ctx, ast.Load)
+               and node.attr in SPLINE_FIELDS}
+    assert readers - {"__init__"} == {"taylor", "derivatives_scalar"}

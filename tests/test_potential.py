@@ -13,6 +13,7 @@ from qrmirror.optics import (
     DEFAULT_POLARIZABILITY,
     DielectricModel,
     Oscillator,
+    Polarizability,
     SheetModel,
     bruggeman_mix,
     fresnel,
@@ -790,8 +791,11 @@ _SPREAD = np.geomspace(1e-6, 1e6, 1_001)   # xi (Eh) and kappa - 1
     (lambda tab, x: sheet_reflection(graphene_sheet(), x, 1.0 + x), _SPREAD),
     (lambda tab, x: (bruggeman_mix(_SILICA, 0.98, x),), _SPREAD),
     (lambda tab, x: (DEFAULT_POLARIZABILITY.alpha(x),), _SPREAD),
+    (lambda tab, x: (DielectricModel("vac").epsilon(x),), _SPREAD),
+    (lambda tab, x: (Polarizability(()).alpha(x),), _SPREAD),
 ], ids=["potential", "badlands_q", "fresnel", "slab_reflection",
-        "sheet_reflection", "bruggeman_mix", "alpha"])
+        "sheet_reflection", "bruggeman_mix", "alpha", "vacuum_epsilon",
+        "no_alpha"])
 def test_a_scalar_reads_as_its_one_element_array(pc_table, read, inputs):
     # one path serves every shape: a float in gives np.float64s out, bit
     # for bit those of the same float in a 1-element array; the table's
@@ -851,6 +855,27 @@ def test_grid_read_is_the_taylor_read_on_the_grid(request, registry_table,
         energy = CONSTANTS.energy_au_from_height(height)
         assert np.array_equal(badlands_profile(table, energy).q,
                               badlands_q(table, energy, table.z))
+
+
+@pytest.mark.parametrize("name", ["pc_table", "pure_c4_table", "null"])
+def test_taylor_reads_z_of_any_shape(request, name):
+    # a 0-d and a 2-d z read as the same z laid out flat, bit for bit, at
+    # every order, and potential is the order-0 row
+    tab = (PotentialTable.null() if name == "null"
+           else request.getfixturevalue(name))
+    z = np.geomspace(tab.z_min, tab.z_max, 12)
+    for order in range(6):
+        flat = tab.taylor(z, order)
+        square = tab.taylor(z.reshape(3, 4), order)
+        assert flat.shape == (order + 1, 12)
+        assert square.shape == (order + 1, 3, 4)
+        assert square.tobytes() == flat.tobytes()
+        for k, x in enumerate(z):
+            point = tab.taylor(x, order)
+            assert point.shape == (order + 1,)
+            assert point.tobytes() == flat[:, k].tobytes()
+    assert (tab.potential(z.reshape(3, 4)).tobytes()
+            == tab.taylor(z, 0).tobytes())
 
 
 @pytest.mark.parametrize("make", [lambda: PotentialTable.from_power_law(

@@ -8,11 +8,12 @@ A missing value is ``None`` in JSON and the report's placeholder in CSV.
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from qrmirror import cli, reporting
 from qrmirror.constants import CONSTANTS
-from qrmirror.potential import PotentialTable
+from qrmirror.potential import PotentialTable, retarded_reference
 from qrmirror.reflection import badlands_profile, reflection_sweep
 
 
@@ -72,6 +73,13 @@ def test_potential_table(tmp_path, coefficient, exponent):
         assert written[key] == pytest.approx(value, rel=1e-6)
     assert fit[f"C{exponent:g}_Eh_a0{exponent:g}"] == pytest.approx(
         coefficient, rel=1e-9)
+
+
+def test_potential_ratio_is_its_own_rows_v_over_vstar(silica_table):
+    # V_over_Vstar is the row's own V_Eh over -C4*/z^4, bit for bit
+    rows = reporting.potential_table_json(silica_table)["rows"]
+    z, v, ratio = (np.array([row[k] for row in rows]) for k in (0, 2, 4))
+    assert ratio.tobytes() == (v / retarded_reference(z)).tobytes()
 
 
 def test_sweep_with_a_failed_point(tmp_path, c4_table):
