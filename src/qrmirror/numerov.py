@@ -107,12 +107,13 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
 
     two_m = 2.0 * _M
 
-    def wavevector(z):
-        return math.sqrt(two_m * (energy_au - table.derivatives_scalar(z)[0]))
+    def read(z):
+        """V and the wavevector sqrt(2m(E - V)) at one z."""
+        v = table.derivatives_scalar(z)[0]
+        return v, math.sqrt(two_m * (energy_au - v))
 
     ppw = float(_POINTS_PER_WAVELENGTH)
-    v0 = table.derivatives_scalar(z_start)[0]
-    k0 = math.sqrt(two_m * (energy_au - v0))
+    v0, k0 = read(z_start)
     h = 2.0 * math.pi / (k0 * ppw)
     if z_start + h >= z_end:
         raise ValueError("integration window shorter than one step")
@@ -129,8 +130,7 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
         z_last, h, seed, total_points, bound = states[n - 1]
     else:
         # WKB seed for the incoming wave at the two leading points, (Re, Im)
-        v2 = table.derivatives_scalar(z_start + h)[0]
-        k2 = math.sqrt(two_m * (energy_au - v2))
+        v2, k2 = read(z_start + h)
         phi12, v_top = _phase_between(table, energy_au, z_start, z_start + h)
         psi2 = (1.0 / math.sqrt(k2)) * cmath.exp(-1j * phi12)
         seed = [[1.0 / math.sqrt(k0), 0.0], [psi2.real, psi2.imag]]
@@ -177,8 +177,8 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
             if z >= z_end:
                 done = True
                 break
-            v_ends.append(table.derivatives_scalar(z)[0])
-            k = math.sqrt(two_m * (energy_au - v_ends[-1]))
+            v_end, k = read(z)
+            v_ends.append(v_end)
             if 2.0 * math.pi / (k * h) >= 2.0 * ppw:
                 h *= 2.0
             if n_max < full:    # a short chunk ends its block
@@ -245,27 +245,24 @@ def numerov_reflection(table: PotentialTable, energy_au: float,
     if recorded:
         _MARCHES.setdefault(table, {})[key] = states + tuple(recorded)
 
-    # project the last stretch onto the WKB basis; pick a second matching
-    # point a quarter wavelength back so the 2x2 system is well conditioned
-    k_end = wavevector(z_last)
+    # project the last stretch onto the WKB basis at its last node z_last
+    # and a point a quarter wavelength back, so the 2x2 system is well
+    # conditioned
+    k_end = read(z_last)[1]
     # the last chunk's own spacing: h is already doubled when the march
     # stops at the table end right after a doubling
     dz = float(z_tail[1] - z_tail[0])
     quarter = max(1, int(round(0.25 * 2.0 * math.pi / (k_end * dz))))
-    j2 = len(z_tail) - 1
-    j1 = max(0, j2 - quarter)
-    za, zb = float(z_tail[j1]), float(z_tail[j2])
-    ka, kb = wavevector(za), wavevector(zb)
-    dphi = _phase_between(table, energy_au, za, zb)[0]
-    # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0
-    m11 = 1.0 / math.sqrt(ka)
-    m12 = 1.0 / math.sqrt(ka)
-    m21 = cmath.exp(1j * dphi) / math.sqrt(kb)
-    m22 = cmath.exp(-1j * dphi) / math.sqrt(kb)
-    det = m11 * m22 - m12 * m21
+    j1 = max(0, len(z_tail) - 1 - quarter)
+    za = float(z_tail[j1])
+    dphi = _phase_between(table, energy_au, za, z_last)[0]
+    # psi = c+ e^{i phi}/sqrt(k) + c- e^{-i phi}/sqrt(k), phi(za) = 0: with
+    # a, b = k^-1/2 at za and z_last, c+ and c- are these over one common
+    # factor, which |r| = |c+/c-| drops
+    a, b = 1.0 / math.sqrt(read(za)[1]), 1.0 / math.sqrt(k_end)
     psi_a = complex(*psi_tail[j1])
-    psi_b = complex(*psi_tail[j2])
-    c_plus = (m22 * psi_a - m12 * psi_b) / det
-    c_minus = (-m21 * psi_a + m11 * psi_b) / det
+    psi_b = complex(*psi_tail[-1])
+    c_plus = b * cmath.exp(-1j * dphi) * psi_a - a * psi_b
+    c_minus = a * psi_b - b * cmath.exp(1j * dphi) * psi_a
     return NumerovResult(r_magnitude=abs(c_plus / c_minus), z_end=z_last,
                          n_points=total_points)

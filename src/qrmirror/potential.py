@@ -517,9 +517,9 @@ class PotentialTable:
     5, made on first use and kept, since the solver's badlands Q and launch
     series there do not depend on the energy.  Range: z outside
     [z_min, z_max], with 1e-12 slack in ln z, raises ValueError; nothing is
-    extrapolated.  V < 0 and strictly increasing toward zero for every
-    physical mirror; the all-zero table is the free-space degenerate case
-    used by tests.  Fits (``_fit_ends``, made once here): ``c3``, ``c4``,
+    extrapolated.  z and V finite, else ValueError; V < 0 and strictly
+    increasing toward zero for every physical mirror; the all-zero table is
+    the free-space degenerate case used by tests.  Fits (``_fit_ends``, made once here): ``c3``, ``c4``,
     ``c5``, ``near_exponent`` and ``far_exponent``, each None where its end
     decade fits no power law, and ``fit_notes``, a list saying why.
     """
@@ -529,6 +529,11 @@ class PotentialTable:
         v = np.asarray(v_au, dtype=float)
         if z.ndim != 1 or z.shape != v.shape or z.size < 4:
             raise ValueError("need matching 1-d z and V arrays, >= 4 points")
+        # a NaN fails every comparison below, so it is caught here first
+        if not np.isfinite(z).all():
+            raise ValueError("z grid must be finite (NaN or inf found)")
+        if not np.isfinite(v).all():
+            raise ValueError("potential must be finite (NaN or inf found)")
         if np.any(np.diff(z) <= 0) or z[0] <= 0:
             raise ValueError("z grid must be positive and strictly increasing")
         t = np.log(z)

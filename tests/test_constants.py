@@ -6,17 +6,51 @@ from qrmirror import reporting
 from qrmirror.constants import CONSTANTS
 
 
+# the elementary charge (C), exact in SI: m*g/e in J/m -> eV/m
+_E_CHARGE = 1.602176634e-19
+
+
 def test_weight_constant_consistent_with_mass_and_g():
-    # m*g recomputed from the stored mass and g agrees with the pinned
+    # m*g from the stored mass and g, in neV/m, agrees with the pinned
     # 102.5 neV/m to 0.2%
     assert CONSTANTS.mg == 102.5
-    assert CONSTANTS.mg_computed_neV_per_m == pytest.approx(102.5, rel=2e-3)
+    mg_neV_per_m = CONSTANTS.m * CONSTANTS.g / _E_CHARGE * 1e9
+    assert mg_neV_per_m == pytest.approx(102.5, rel=2e-3)
 
 
 def test_paper_unit_values():
     assert CONSTANTS.hartree == 4.3597e-18
     assert CONSTANTS.bohr == 52.917e-12
     assert CONSTANTS.c_au == pytest.approx(137.036, abs=1e-3)
+
+
+def test_every_constant_equals_its_literal():
+    # each value CONSTANTS gives, stored or derived, bit for bit; a name
+    # added or dropped fails here too
+    expected = {
+        "hbar": 1.054571817e-34,
+        "m": 1.6735e-27,
+        "g": 9.806,
+        "mg": 102.5,
+        "hartree": 4.3597e-18,
+        "bohr": 52.917e-12,
+        "fine_structure": 7.2973525693e-3,
+        "c_au": 1.0 / 7.2973525693e-3,
+        "mass_au": 1.6735e-27 / 9.1093837015e-31,
+        "hartree_eV": 4.3597e-18 / _E_CHARGE,
+        "hartree_neV": 4.3597e-18 / _E_CHARGE * 1e9,
+        "bohr_nm": 52.917e-12 * 1e9,
+    }
+    values = {name: getattr(CONSTANTS, name) for name in dir(CONSTANTS)
+              if not name.startswith("_")
+              and not callable(getattr(CONSTANTS, name))}
+    assert values == expected
+
+
+def test_constants_are_read_only():
+    with pytest.raises(AttributeError):
+        CONSTANTS.g = 9.81
+    assert CONSTANTS.g == 9.806
 
 
 def _height_energy_nev(h_m: float) -> float:

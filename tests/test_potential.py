@@ -722,6 +722,23 @@ def test_table_rejects_grid_that_is_not_log_uniform():
         PotentialTable(z, -1.0 / z**4)
 
 
+def test_table_rejects_non_finite_samples():
+    # a NaN fails every ordering check, so without its own check a NaN V
+    # spread through the whole spline, and -inf read as "not increasing"
+    z = np.geomspace(potential.SOLVER_Z_LO, potential.SOLVER_Z_HI,
+                     potential.SOLVER_POINTS)
+    v = -73.6 / z**4 - 0.25 / z**3
+    for bad in (math.nan, -math.inf):
+        v_bad = v.copy()
+        v_bad[300] = bad
+        with pytest.raises(ValueError, match="potential must be finite"):
+            PotentialTable(z, v_bad)
+    z_bad = z.copy()
+    z_bad[300] = math.nan
+    with pytest.raises(ValueError, match="z grid must be finite"):
+        PotentialTable(z_bad, v)
+
+
 def test_null_table():
     tab = PotentialTable.null()
     assert tab.is_null
